@@ -142,10 +142,10 @@ def _cmd_utilde(args) -> dict:
     m = _parse_model(args.model)
     d = _parse_d(args.d)
     result, report = minimal_model_of_twist(m, d)
-    twisted = twist(minimize(m).minimal, d)
     data = {"curve": _model_dict(m), "d": d}
     data.update(report.to_json_dict())
-    data["delta_twist"] = str(twisted.delta)
+    # minimal_model_of_twist has checked delta(twist) = delta_min * utilde^12.
+    data["delta_twist"] = str(result.minimal.delta * report.utilde**12)
     data["delta_min"] = str(result.minimal.delta)
     return data
 
@@ -215,32 +215,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("invariants", help="invariants of a model")
-    p.add_argument("model")
-    p.set_defaults(fn=_cmd_invariants)
-
-    p = sub.add_parser("twist", help="quadratic twist of a model")
-    p.add_argument("model")
-    p.add_argument("d")
-    p.set_defaults(fn=_cmd_twist)
-
-    p = sub.add_parser("minimal", help="canonical minimal model")
-    p.add_argument("model")
-    p.set_defaults(fn=_cmd_minimal)
-
-    p = sub.add_parser("utilde", help="scaling factor of the minimal twist")
-    p.add_argument("model")
-    p.add_argument("d")
-    p.set_defaults(fn=_cmd_utilde)
-
-    p = sub.add_parser("periods", help="real and imaginary periods")
-    p.add_argument("model")
-    p.set_defaults(fn=_cmd_periods)
-
-    p = sub.add_parser("verify", help="verify the twisted-period relation")
-    p.add_argument("model")
-    p.add_argument("d")
-    p.set_defaults(fn=_cmd_verify)
+    for name, fn, positionals, help_text in (
+        ("invariants", _cmd_invariants, ("model",), "invariants of a model"),
+        ("twist", _cmd_twist, ("model", "d"), "quadratic twist of a model"),
+        ("minimal", _cmd_minimal, ("model",), "canonical minimal model"),
+        ("utilde", _cmd_utilde, ("model", "d"), "scaling factor of the minimal twist"),
+        ("periods", _cmd_periods, ("model",), "real and imaginary periods"),
+        ("verify", _cmd_verify, ("model", "d"), "verify the twisted-period relation"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        for positional in positionals:
+            p.add_argument(positional)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("scan", help="bulk scan over a JSON-lines curve file")
     p.add_argument("file")

@@ -232,20 +232,3 @@ def odd_prime_divisors(d: int) -> list[int]:
         raise ValueError(f"d = {d} is not square-free")
     return sorted(p for p in factors if p != 2)
 
-
-def iroot(n: int, k: int) -> int:
-    """Floor of the k-th root of n >= 0."""
-    if n < 0 or k < 1:
-        raise ValueError("iroot expects n >= 0 and k >= 1")
-    if n == 0:
-        return 0
-    if k == 1:
-        return n
-    if k == 2:
-        return math.isqrt(n)
-    x = int(round(n ** (1.0 / k))) + 1
-    while x > 0 and x**k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
-    return x

@@ -114,9 +114,7 @@ def _classify(m: WeierstrassModel, d: int, p: int) -> tuple[str, Fraction, int]:
     if p == 2:
         return _classify_at_two(m, d)
     if d % p == 0:
-        sig = padic_signature(m, p)
-        gauge = min(3 * sig.vc4, 2 * sig.vc6, sig.vdelta)
-        if gauge < 6 or (p == 3 and sig.vc6 == 5):
+        if signature_gauge(m, p) < 6 or (p == 3 and vp(m.invariants.c6, p) == 5):
             return "1a", Fraction(1), 6
         return "1b", Fraction(p), -6
     return "odd-p-not-dividing-d", Fraction(1), 0
@@ -172,15 +170,19 @@ def compute_utilde(m: WeierstrassModel, d: int) -> UTildeResult:
 
     m is minimized first, so the result always refers to the twist of the
     minimal model. The relevant primes are 2 and the odd primes dividing d;
-    every other prime contributes u_p = 1.
+    every other prime contributes u_p = 1. This is the table alone: the
+    twist is not minimized, so nothing is cross-checked here;
+    minimal_model_of_twist and verify_twist_period_relation check the table
+    against minimization of the twist.
     """
-    mm = minimize(m).minimal
-    per_prime: dict[int, tuple[Fraction, str]] = {}
-    utilde = Fraction(1)
-    for p in [2] + odd_prime_divisors(d):
-        u_p, label = utilde_factor_at(mm, d, p)
-        per_prime[p] = (u_p, label)
-        utilde *= u_p
+    return _utilde_table(minimize(m).minimal, d)
+
+
+def _utilde_table(mm: WeierstrassModel, d: int) -> UTildeResult:
+    """compute_utilde for a model that is already minimal."""
+    primes = [2] + odd_prime_divisors(d)
+    per_prime = {p: utilde_factor_at(mm, d, p) for p in primes}
+    utilde = math.prod(u_p for u_p, _ in per_prime.values())
     return UTildeResult(per_prime=per_prime, utilde=utilde)
 
 
@@ -329,7 +331,15 @@ def minimal_model_of_twist(
     exactly; ConsistencyError otherwise.
     """
     mm = minimize(m).minimal
-    report = compute_utilde(mm, d)
+    report = _utilde_table(mm, d)
+    return _minimal_twist(mm, d, report), report
+
+
+def _minimal_twist(
+    mm: WeierstrassModel, d: int, report: UTildeResult
+) -> MinimalModelResult:
+    """Minimize twist(mm, d) for a minimal model mm, cross-checked against the
+    table's report for (mm, d) as minimal_model_of_twist describes."""
     twisted = twist(mm, d)
     result = minimize(twisted)
     if result.map.u != report.utilde:
@@ -342,4 +352,4 @@ def minimal_model_of_twist(
         raise ConsistencyError(
             f"discriminant ratio {ratio} is not utilde^12 for d = {d}, curve {mm}"
         )
-    return result, report
+    return result

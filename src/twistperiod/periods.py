@@ -206,8 +206,13 @@ def raw_real_period(
     m: WeierstrassModel, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> mpf:
     """Integral of |dx/(2y + a1*x + a3)| over the real locus of m itself."""
-    lattice = lattice_periods(m, precision_bits)
-    return real_components(m) * lattice.omega_real
+    return _real_locus_period(m, lattice_periods(m, precision_bits))
+
+
+def _real_locus_period(m: WeierstrassModel, lattice: PeriodLattice) -> mpf:
+    """c_inf(m) * omega_real, at the lattice's working precision."""
+    with mp.workprec(lattice.precision_bits + GUARD_BITS):
+        return real_components(m) * lattice.omega_real
 
 
 def real_period(
@@ -215,8 +220,7 @@ def real_period(
 ) -> mpf:
     """The real period Omega of the curve: c_inf times the least positive
     real period of a minimal model. Invariant under isomorphisms of m."""
-    minimal = minimize(m).minimal
-    return raw_real_period(minimal, precision_bits)
+    return raw_real_period(minimize(m).minimal, precision_bits)
 
 
 def _recognize_ratio(rho: mpf, precision_bits: int) -> Fraction:
@@ -250,9 +254,12 @@ def imaginary_period(
     residue (below tolerance by construction) is zeroed; the sign is
     normalized so Im(Omega^-) > 0.
     """
-    precision_bits = _check_precision(precision_bits)
-    minimal = minimize(m).minimal
-    lattice = lattice_periods(minimal, precision_bits)
+    return _imaginary_generator(lattice_periods(minimize(m).minimal, precision_bits))
+
+
+def _imaginary_generator(lattice: PeriodLattice) -> tuple[mpc, int, int]:
+    """(Omega^-, k1, k2) of a lattice basis, as imaginary_period describes."""
+    precision_bits = lattice.precision_bits
     with mp.workprec(precision_bits + GUARD_BITS):
         rho = mp.re(lattice.omega_complex) / lattice.omega_real
         ratio = _recognize_ratio(rho, precision_bits)
@@ -272,16 +279,16 @@ def imaginary_period(
 def period_report(
     m: WeierstrassModel, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> PeriodReport:
-    """Real period, imaginary period and component count for one curve."""
-    precision_bits = _check_precision(precision_bits)
+    """Real period, imaginary period and component count for one curve,
+    all from one lattice of its minimal model."""
     minimal = minimize(m).minimal
-    omega = raw_real_period(minimal, precision_bits)
-    omega_minus, k1, k2 = imaginary_period(minimal, precision_bits)
+    lattice = lattice_periods(minimal, precision_bits)
+    omega_minus, k1, k2 = _imaginary_generator(lattice)
     return PeriodReport(
-        omega=omega,
+        omega=_real_locus_period(minimal, lattice),
         omega_minus=omega_minus,
         c_inf=real_components(minimal),
         k1=k1,
         k2=k2,
-        precision_bits=precision_bits,
+        precision_bits=lattice.precision_bits,
     )

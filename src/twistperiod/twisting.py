@@ -75,11 +75,6 @@ class TwistMap:
     def is_identity(self) -> bool:
         return self.d == 1
 
-    def alpha_numeric(self, precision_bits: int = 128) -> mpc:
-        """alpha = sqrt(1/d) as a complex number (imaginary for d < 0)."""
-        with mp.workprec(precision_bits):
-            return mp.sqrt(mpc(1) / self.d)
-
     def numeric(self, precision_bits: int = 128) -> tuple[mpc, mpc, mpc]:
         """(u, s-term, t-term) with alpha evaluated numerically."""
 

@@ -24,16 +24,16 @@ from typing import Callable, Iterable, Optional, TextIO, Union
 
 from mpmath import mp, mpf
 
-from .minimality import UTildeResult, compute_utilde, minimize
+from .minimality import UTildeResult, _minimal_twist, _utilde_table, minimize
 from .periods import (
     DEFAULT_PRECISION_BITS,
     _check_precision,
+    _imaginary_generator,
     _nstr,
-    imaginary_period,
+    lattice_periods,
+    raw_real_period,
     real_components,
-    real_period,
 )
-from .twisting import twist
 from .weierstrass import WeierstrassModel
 
 DEFAULT_TOLERANCE = 1e-9
@@ -77,32 +77,48 @@ def verify_twist_period_relation(
     """Measure both sides of the twisted-period relation for (m, d).
 
     m is minimized first, so the report refers to the curve m defines rather
-    than the particular model. Passing means the relative gap between the two
-    sides is at most `tolerance`.
+    than the particular model. Its twist is minimized as in
+    minimal_model_of_twist, so ConsistencyError is raised when the per-prime
+    table and minimization disagree. Passing means the relative gap between
+    the two sides is at most `tolerance`.
     """
+    minimal = minimize(m).minimal
+    return _verify(m, minimal, d, _utilde_table(minimal, d), precision_bits, tolerance)
+
+
+def _verify(
+    curve: WeierstrassModel,
+    minimal: WeierstrassModel,
+    d: int,
+    report: UTildeResult,
+    precision_bits: int,
+    tolerance: float,
+) -> VerificationReport:
+    """verify_twist_period_relation for the minimal model of curve and the
+    table's report for (minimal, d)."""
     precision_bits = _check_precision(precision_bits)
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    minimal = minimize(m).minimal
-    report = compute_utilde(minimal, d)
-    twisted = twist(minimal, d)
+    twist_minimal = _minimal_twist(minimal, d, report).minimal
     with mp.workprec(precision_bits + 16):
         utilde = mpf(report.utilde.numerator) / report.utilde.denominator
-        lhs = real_period(twisted, precision_bits)
+        lhs = raw_real_period(twist_minimal, precision_bits)
         if d > 0:
-            rhs = utilde / mp.sqrt(d) * real_period(minimal, precision_bits)
+            rhs = utilde / mp.sqrt(d) * raw_real_period(minimal, precision_bits)
         else:
-            omega_minus, _, _ = imaginary_period(minimal, precision_bits)
+            omega_minus, _, _ = _imaginary_generator(
+                lattice_periods(minimal, precision_bits)
+            )
             rhs = (
                 utilde
                 / mp.sqrt(-d)
-                * real_components(twisted)
+                * real_components(twist_minimal)
                 * abs(mp.im(omega_minus))
             )
         abs_rel_error = abs(lhs - rhs) / abs(rhs)
         passed = bool(abs_rel_error <= mpf(tolerance))
     return VerificationReport(
-        curve=m,
+        curve=curve,
         d=d,
         utilde=str(report.utilde),
         case_labels=report.case_labels(),
@@ -165,14 +181,17 @@ def iter_curve_file(path: str) -> Iterable[dict]:
 
 
 def _existing_keys(path: str) -> set[tuple[str, Optional[int]]]:
+    """(label, d) of each complete record in a results file. A partial last
+    line, left by a crash in the middle of a write, is cut off, so that it
+    cannot absorb the next record appended."""
     keys: set[tuple[str, Optional[int]]] = set()
-    if not path or not os.path.exists(path):
+    if not os.path.exists(path):
         return keys
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb+") as handle:
         for line in handle:
-            line = line.strip()
-            if not line:
-                continue
+            if not line.endswith(b"\n"):
+                handle.truncate(handle.tell() - len(line))
+                break
             try:
                 record = json.loads(line)
                 keys.add((record["label"], record.get("d")))
@@ -207,9 +226,12 @@ def scan(
 
     Pairs already present in `results_path` are skipped when `resume` is set,
     and each finished record is appended and flushed immediately, so an
-    interrupted scan can be rerun with the same arguments. Per-pair failures
-    become {'error': ...} records rather than aborting the scan. Records come
-    back (and are written) in input order, d-major within each curve.
+    interrupted scan can be rerun with the same arguments; a partial last
+    line left by the interruption is cut off first. Each curve is minimized
+    once; verified pairs are cross-checked as in verify_twist_period_relation.
+    Per-pair failures become {'error': ...} records rather than aborting the
+    scan. Records come back (and are written) in input order, d-major within
+    each curve.
     """
     if isinstance(filter, str):
         try:
@@ -221,7 +243,8 @@ def scan(
     else:
         filter_fn = filter
     d_list = [int(d) for d in d_values]
-    done = _existing_keys(results_path) if (resume and results_path) else set()
+    existing = _existing_keys(results_path) if results_path else set()
+    done = existing if resume else set()
     records: list[dict] = []
     out = stream
     opened = None
@@ -237,16 +260,19 @@ def scan(
                     _emit(record, records, out)
                 continue
             model = entry["model"]
+            minimal = None
             for d in d_list:
                 if (label, d) in done:
                     continue
                 record = {"label": label, "curve": [str(a) for a in model.ainvs], "d": d}
                 try:
-                    report = compute_utilde(model, d)
+                    if minimal is None:
+                        minimal = minimize(model).minimal
+                    report = _utilde_table(minimal, d)
                     record.update(report.to_json_dict())
                     if filter_fn(report):
-                        verification = verify_twist_period_relation(
-                            model, d, precision_bits, tolerance
+                        verification = _verify(
+                            model, minimal, d, report, precision_bits, tolerance
                         )
                         vdict = verification.to_json_dict()
                         record.update(

@@ -147,22 +147,6 @@ class WeierstrassModel:
     def to_json(self) -> str:
         return json.dumps([str(a) for a in self.ainvs])
 
-    def equation(self) -> str:
-        """Human-readable equation, for text output."""
-
-        def term(c: Fraction, sym: str) -> str:
-            if c == 0:
-                return ""
-            sign = " + " if c > 0 else " - "
-            mag = abs(c)
-            if sym == "":
-                return f"{sign}{mag}"
-            return f"{sign}{sym}" if mag == 1 else f"{sign}{mag}*{sym}"
-
-        lhs = "y^2" + term(self.a1, "x*y") + term(self.a3, "y")
-        rhs = "x^3" + term(self.a2, "x^2") + term(self.a4, "x") + term(self.a6, "")
-        return f"{lhs} = {rhs}"
-
     def __str__(self) -> str:
         return f"[{', '.join(str(a) for a in self.ainvs)}]"
 

@@ -4,10 +4,13 @@ import json
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 from helpers import CURVE_A, CURVE_B, TWIST_A_D, TWISTED_A
+from twistperiod import minimality
 from twistperiod.cli import main
+from twistperiod.periods import real_period
 
 CURVE_A_ARG = json.dumps([int(a) for a in CURVE_A.ainvs])
 CURVE_B_ARG = json.dumps([int(a) for a in CURVE_B.ainvs])
@@ -71,10 +74,21 @@ def test_utilde_command(capsys):
 
 def test_periods_command(capsys):
     data = run_json(capsys, "periods", CURVE_A_ARG)
-    assert data["omega"].startswith("1.2980553226288991")
+    # 33 significant digits of the tanh-sinh quadrature oracle's value
+    assert data["omega"].startswith("1.2980553226288990353923394186499")
     assert data["c_inf"] == 1
     assert (data["k1"], data["k2"]) == (2, -1)
     assert data["precision_bits"] == 128
+
+
+def test_periods_command_prints_requested_precision(capsys):
+    data = run_json(capsys, "--precision-bits", "512", "periods", CURVE_A_ARG)
+    with mpmath.workprec(1100):
+        reference = real_period(CURVE_A, 1024)
+        # error below one unit in the last printed digit: the 150 digits
+        # printed at 512 bits carry about 498 bits
+        last_place = mpmath.mpf(10) ** -(len(data["omega"]) - 2)
+        assert abs(mpmath.mpf(data["omega"]) - reference) < last_place
 
 
 def test_verify_command(capsys):
@@ -133,6 +147,20 @@ def test_exit_code_domain_error(capsys):
     # bad precision
     code, _, _ = run_cli(capsys, "--precision-bits", "16", "periods", CURVE_A_ARG)
     assert code == 4
+
+
+def test_exit_code_consistency_error(capsys, monkeypatch):
+    # a per-prime table that disagrees with minimization of the twist
+    original = minimality.utilde_factor_at
+
+    def doubled(m, d, p):
+        u_p, label = original(m, d, p)
+        return 2 * u_p, label
+
+    monkeypatch.setattr(minimality, "utilde_factor_at", doubled)
+    code, _, err = run_cli(capsys, "verify", CURVE_B_ARG, "-7")
+    assert code == 6
+    assert json.loads(err)["error"] == "ConsistencyError"
 
 
 def test_exit_code_bad_twist_parameter(capsys):

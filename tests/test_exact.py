@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from twistperiod.exact import (
     INFINITY,
     factorize,
-    iroot,
     is_prime,
     is_square_free,
     odd_prime_divisors,
@@ -177,21 +176,6 @@ def test_odd_prime_divisors():
 def test_odd_prime_divisors_rejects_non_square_free():
     with pytest.raises(ValueError):
         odd_prime_divisors(12)
-
-
-def test_iroot():
-    assert iroot(0, 3) == 0
-    assert iroot(26, 3) == 2
-    assert iroot(27, 3) == 3
-    assert iroot(10**18, 2) == 10**9
-    assert iroot(10**18 - 1, 2) == 10**9 - 1
-
-
-@given(st.integers(min_value=0, max_value=10**24), st.integers(min_value=2, max_value=6))
-@settings(max_examples=200, deadline=None)
-def test_iroot_is_floor_root(n, k):
-    r = iroot(n, k)
-    assert r**k <= n < (r + 1) ** k
 
 
 def test_randomized_factorizations_certify():

@@ -1,0 +1,66 @@
+"""Each public entry point minimizes its curve once and builds each lattice once."""
+
+import sys
+
+import pytest
+
+from helpers import CURVE_A, CURVE_B, TWIST_A_D, TWIST_B_D
+from twistperiod import minimality, periods
+from twistperiod.minimality import ConsistencyError
+from twistperiod.periods import period_report
+from twistperiod.verification import scan, verify_twist_period_relation
+
+
+def count_calls(monkeypatch, original) -> list:
+    """Replace `original` in every twistperiod module that holds it by a
+    wrapper that records its calls; returns the list of recorded arguments."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name != "twistperiod" and not name.startswith("twistperiod."):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("curve, d", [(CURVE_A, TWIST_A_D), (CURVE_B, TWIST_B_D)])
+def test_verify_minimizes_curve_and_twist_once(monkeypatch, curve, d):
+    calls = count_calls(monkeypatch, minimality.minimize)
+    assert verify_twist_period_relation(curve, d).passed
+    assert len(calls) == 2
+
+
+def test_scan_minimizes_once_per_curve(monkeypatch):
+    curves = [("alpha", CURVE_A), ("beta", CURVE_B), ("gamma", CURVE_A)]
+    twists = [1, 5, -7, 10]
+    calls = count_calls(monkeypatch, minimality.minimize)
+    records = scan(curves, twists, filter="none")
+    assert len(records) == len(curves) * len(twists)
+    assert len(calls) == len(curves)
+
+
+def test_period_report_builds_one_lattice(monkeypatch):
+    minimize_calls = count_calls(monkeypatch, minimality.minimize)
+    lattice_calls = count_calls(monkeypatch, periods.lattice_periods)
+    report = period_report(CURVE_B, 128)
+    assert (report.k1, report.k2) == (2, -1)
+    assert len(lattice_calls) == 1
+    assert len(minimize_calls) == 1
+
+
+def test_verify_raises_when_table_disagrees_with_minimization(monkeypatch):
+    original = minimality.utilde_factor_at
+
+    def doubled_at_two(m, d, p):
+        u_p, label = original(m, d, p)
+        return (2 * u_p if p == 2 else u_p), label
+
+    monkeypatch.setattr(minimality, "utilde_factor_at", doubled_at_two)
+    with pytest.raises(ConsistencyError):
+        verify_twist_period_relation(CURVE_A, TWIST_A_D)

@@ -179,6 +179,16 @@ def test_precision_scaling_consistency():
             assert abs(low - high) <= abs(high) * mp.mpf(2) ** -110
 
 
+def test_real_period_keeps_requested_precision():
+    # Called at mpmath's default 53-bit context, as a library user would.
+    omega = real_period(CURVE_A, 512)
+    report = period_report(CURVE_A, 512)
+    with mp.workprec(1100):
+        reference = real_period(CURVE_A, 1024)
+        for value in (omega, report.omega):
+            assert abs(value - reference) <= abs(reference) * mp.mpf(2) ** -500
+
+
 # ---------------------------------------------------------------------------
 # Against independent oracles
 # ---------------------------------------------------------------------------

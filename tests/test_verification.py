@@ -208,6 +208,22 @@ def test_scan_resume_skips_done_pairs(tmp_path):
     assert len(stored) == 6
 
 
+def test_scan_resume_drops_partial_last_line(tmp_path):
+    results = tmp_path / "results.jsonl"
+    curves = [("alpha", CURVE_A), ("beta", CURVE_B)]
+    scan(curves, [1, 5], filter="none", results_path=str(results))
+    lines = results.read_text(encoding="utf-8").splitlines(keepends=True)
+    # a kill in the middle of writing the third record
+    results.write_text(
+        "".join(lines[:2]) + lines[2][: len(lines[2]) // 2], encoding="utf-8"
+    )
+
+    scan(curves, [1, 5], filter="none", results_path=str(results))
+    text = results.read_text(encoding="utf-8")
+    keys = [(r["label"], r["d"]) for r in map(json.loads, text.splitlines())]
+    assert sorted(keys) == [("alpha", 1), ("alpha", 5), ("beta", 1), ("beta", 5)]
+
+
 def test_scan_no_resume_reprocesses(tmp_path):
     results = tmp_path / "results.jsonl"
     scan([("alpha", CURVE_A)], [1], filter="none", results_path=str(results))

@@ -114,12 +114,6 @@ def test_from_json_rejects_garbage():
             WeierstrassModel.from_json(text)
 
 
-def test_equation_rendering():
-    m = WeierstrassModel.from_ainvs([0, 0, 1, 0, -7])
-    text = m.equation()
-    assert "y^2" in text and "x^3" in text and "7" in text
-
-
 # ---------------------------------------------------------------------------
 # p-adic signatures
 # ---------------------------------------------------------------------------
