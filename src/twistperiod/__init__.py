@@ -10,6 +10,7 @@ AGM, and numerical verification that the real period of a twist matches
 from .exact import (
     INFINITY,
     ExtendedValuation,
+    FactorizationBudgetError,
     PadicInfinity,
     factorize,
     is_prime,
@@ -71,6 +72,7 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "ExtendedValuation",
     "FILTERS",
+    "FactorizationBudgetError",
     "IDENTITY",
     "INFINITY",
     "Invariants",

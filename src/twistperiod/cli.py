@@ -20,7 +20,8 @@ environment variable), --tolerance (default 1e-9), --format json|text,
 
 Exit codes: 0 success; 2 malformed input; 3 singular curve; 4 domain errors
 (non-square-free d, bad precision); 5 numeric failure (AGM non-convergence,
-ambiguous lattice recognition); 6 internal consistency failure; 1 unexpected.
+ambiguous lattice recognition, a factorization beyond its budget); 6 internal
+consistency failure; 1 unexpected.
 """
 
 from __future__ import annotations
@@ -29,8 +30,10 @@ import argparse
 import json
 import os
 import sys
+import time
 from typing import Optional
 
+from .exact import FactorizationBudgetError
 from .minimality import ConsistencyError, minimal_model_of_twist, minimize
 from .periods import (
     DEFAULT_PRECISION_BITS,
@@ -166,6 +169,7 @@ def _cmd_verify(args) -> dict:
 
 
 def _cmd_scan(args) -> Optional[dict]:
+    start = time.perf_counter()
     records = scan(
         iter_curve_file(args.file),
         args.twists,
@@ -176,6 +180,7 @@ def _cmd_scan(args) -> Optional[dict]:
         resume=not args.no_resume,
         stream=sys.stdout if args.output is None else None,
     )
+    seconds = time.perf_counter() - start
     if args.output is not None:
         checked = sum(1 for r in records if "error" not in r)
         failed = [r for r in records if r.get("passed") is False]
@@ -184,6 +189,9 @@ def _cmd_scan(args) -> Optional[dict]:
             "records": len(records),
             "checked": checked,
             "verified_failures": len(failed),
+            "errors": len(records) - checked,
+            "seconds": round(seconds, 6),
+            "pairs_per_s": round(len(records) / seconds, 1) if seconds else 0.0,
         }
         return summary
     return None
@@ -255,6 +263,7 @@ _EXIT_CODES = (
     (json.JSONDecodeError, 2),
     (LatticeRecognitionError, 5),
     (PrecisionError, 5),
+    (FactorizationBudgetError, 5),
     (ConsistencyError, 6),
     (ValueError, 4),
 )

@@ -2,8 +2,9 @@
 
 p-adic valuations on rationals (with a proper infinity for the valuation of
 zero), square-free tests, and integer factorization sized for twist
-parameters: trial division up to 10^6 with a Brent/Pollard-rho fallback and a
-deterministic Miller-Rabin primality test.
+parameters: trial division up to 4096, then Brent's variant of Pollard rho on
+the cofactor with a fixed iteration budget, and a Miller-Rabin primality test
+(deterministic below 3.3e24) that certifies every factor.
 """
 
 from __future__ import annotations
@@ -13,7 +14,12 @@ import random
 from fractions import Fraction
 from typing import Union
 
-TRIAL_DIVISION_BOUND = 10**6
+TRIAL_DIVISION_BOUND = 4096
+
+# Squarings one Pollard rho call may spend before it gives up: about 1.5 s on
+# a 49-digit modulus. Rho finds a prime factor p in about sqrt(p) squarings,
+# so factors below about 10^11 come out well within it.
+_RHO_BUDGET = 1 << 20
 
 # Deterministic Miller-Rabin witnesses, valid for n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -79,6 +85,10 @@ INFINITY = PadicInfinity()
 ExtendedValuation = Union[int, PadicInfinity]
 
 
+class FactorizationBudgetError(ArithmeticError):
+    """Pollard rho exhausted its iteration budget on a composite factor."""
+
+
 def is_prime(n: int) -> bool:
     """Miller-Rabin primality test, deterministic below ~3.3e24."""
     n = int(n)
@@ -113,10 +123,14 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """Brent's cycle variant; returns a nontrivial factor of composite n."""
+    """Brent's cycle variant; returns a nontrivial factor of composite n.
+
+    Raises FactorizationBudgetError after _RHO_BUDGET squarings without one.
+    """
     if n % 2 == 0:
         return 2
     rng = random.Random(n)
+    budget = _RHO_BUDGET
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -124,15 +138,23 @@ def _pollard_rho(n: int) -> int:
         g = r = q = 1
         x = ys = y
         while g == 1:
+            if budget <= 0:
+                raise FactorizationBudgetError(
+                    f"Pollard rho found no factor of the {len(str(n))}-digit "
+                    f"composite {n} in {_RHO_BUDGET} iterations"
+                )
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
+            budget -= r
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(m, r - k)):
+                steps = min(m, r - k)
+                for _ in range(steps):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
+                budget -= steps
                 g = math.gcd(q, n)
                 k += m
             r *= 2
@@ -148,8 +170,10 @@ def _pollard_rho(n: int) -> int:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as an exponent dict.
 
-    Trial division up to 10^6, then recursive rho splitting with Miller-Rabin
-    certification of the pieces.
+    Trial division up to TRIAL_DIVISION_BOUND, then Pollard rho splits the
+    cofactor until is_prime certifies every piece. Raises
+    FactorizationBudgetError when rho exhausts its budget on a piece, so the
+    result is never incomplete.
     """
     n = int(n)
     if n < 1:
@@ -222,7 +246,8 @@ def is_square_free(d: int) -> bool:
 def odd_prime_divisors(d: int) -> list[int]:
     """Sorted odd primes dividing the square-free integer d.
 
-    Raises ValueError when d is zero or not square-free.
+    Raises ValueError when d is zero or not square-free, and
+    FactorizationBudgetError when |d| cannot be factored within the budget.
     """
     d = int(d)
     if d == 0:

@@ -178,9 +178,15 @@ def compute_utilde(m: WeierstrassModel, d: int) -> UTildeResult:
     return _utilde_table(minimize(m).minimal, d)
 
 
-def _utilde_table(mm: WeierstrassModel, d: int) -> UTildeResult:
-    """compute_utilde for a model that is already minimal."""
-    primes = [2] + odd_prime_divisors(d)
+def _utilde_table(
+    mm: WeierstrassModel, d: int, odd_primes: list[int] | None = None
+) -> UTildeResult:
+    """compute_utilde for a model that is already minimal. `odd_primes`, when
+    given, is odd_prime_divisors(d), so a caller with many curves factors each
+    d once."""
+    if odd_primes is None:
+        odd_primes = odd_prime_divisors(d)
+    primes = [2] + odd_primes
     per_prime = {p: utilde_factor_at(mm, d, p) for p in primes}
     utilde = math.prod(u_p for u_p, _ in per_prime.values())
     return UTildeResult(per_prime=per_prime, utilde=utilde)

@@ -12,18 +12,21 @@ compared in absolute value at a configurable precision and tolerance.
 scan() runs the per-prime table over a stream of curves and twist parameters,
 optionally escalating to a full period verification when a filter on the
 utilde result matches, writing JSON-lines incrementally so an interrupted run
-can resume by skipping pairs already present in the results file.
+can resume by skipping pairs already present in the results file. A pair is
+known by its content, the normalized a-invariants and d, not by its label.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, TextIO, Union
+from typing import Callable, Hashable, Iterable, Optional, TextIO, Union
 
 from mpmath import mp, mpf
 
+from .exact import odd_prime_divisors
 from .minimality import UTildeResult, _minimal_twist, _utilde_table, minimize
 from .periods import (
     DEFAULT_PRECISION_BITS,
@@ -180,11 +183,13 @@ def iter_curve_file(path: str) -> Iterable[dict]:
                 yield {"label": label, "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _existing_keys(path: str) -> set[tuple[str, Optional[int]]]:
-    """(label, d) of each complete record in a results file. A partial last
-    line, left by a crash in the middle of a write, is cut off, so that it
-    cannot absorb the next record appended."""
-    keys: set[tuple[str, Optional[int]]] = set()
+def _existing_keys(path: str) -> Counter:
+    """How many complete records a results file holds for each pair key:
+    (curve, d) with curve the normalized a-invariants, or (label, None) for a
+    line that did not parse. A partial last line, left by a crash in the
+    middle of a write, is cut off, so that it cannot absorb the next record
+    appended."""
+    keys: Counter = Counter()
     if not os.path.exists(path):
         return keys
     with open(path, "rb+") as handle:
@@ -194,10 +199,35 @@ def _existing_keys(path: str) -> set[tuple[str, Optional[int]]]:
                 break
             try:
                 record = json.loads(line)
-                keys.add((record["label"], record.get("d")))
-            except (json.JSONDecodeError, KeyError):
+                if "curve" in record:
+                    keys[tuple(record["curve"]), record["d"]] += 1
+                else:
+                    keys[record["label"], None] += 1
+            except (json.JSONDecodeError, KeyError, TypeError):
                 continue
     return keys
+
+
+def _skip(done: Counter, key: tuple) -> bool:
+    """True, using up one of them, when done still holds a record for key."""
+    if done[key] <= 0:
+        return False
+    done[key] -= 1
+    return True
+
+
+def _once(known: dict, key: Hashable, compute: Callable):
+    """compute() on the first call for key; later calls return its value, or
+    raise again the exception it raised."""
+    if key not in known:
+        try:
+            known[key] = compute()
+        except Exception as exc:  # raised below, on this and every later call
+            known[key] = exc
+    value = known[key]
+    if isinstance(value, Exception):
+        raise value.with_traceback(None)
+    return value
 
 
 def _normalize_entries(curves: Iterable[CurveEntry | dict]) -> Iterable[dict]:
@@ -227,11 +257,14 @@ def scan(
     Pairs already present in `results_path` are skipped when `resume` is set,
     and each finished record is appended and flushed immediately, so an
     interrupted scan can be rerun with the same arguments; a partial last
-    line left by the interruption is cut off first. Each curve is minimized
-    once; verified pairs are cross-checked as in verify_twist_period_relation.
-    Per-pair failures become {'error': ...} records rather than aborting the
-    scan. Records come back (and are written) in input order, d-major within
-    each curve.
+    line left by the interruption is cut off first. A pair is matched by its
+    normalized a-invariants and d, so inserting lines into the curve file
+    does not shift it; an input that repeats a pair k times skips it as often
+    as the file already holds it. Each curve is minimized once and each d
+    factored once; verified pairs are cross-checked as in
+    verify_twist_period_relation. Per-pair failures become {'error': ...}
+    records rather than aborting the scan. Records come back (and are
+    written) in input order, d-major within each curve.
     """
     if isinstance(filter, str):
         try:
@@ -243,8 +276,9 @@ def scan(
     else:
         filter_fn = filter
     d_list = [int(d) for d in d_values]
-    existing = _existing_keys(results_path) if results_path else set()
-    done = existing if resume else set()
+    existing = _existing_keys(results_path) if results_path else Counter()
+    done = existing if resume else Counter()
+    odd_primes: dict = {}
     records: list[dict] = []
     out = stream
     opened = None
@@ -256,23 +290,25 @@ def scan(
             label = entry["label"]
             if "error" in entry:
                 record = {"label": label, "d": None, "error": entry["error"]}
-                if (label, None) not in done:
+                if not _skip(done, (label, None)):
                     _emit(record, records, out)
                 continue
             model = entry["model"]
-            minimal = None
+            curve = [str(a) for a in model.ainvs]
+            curve_key = tuple(curve)
+            minimal: dict = {}
             for d in d_list:
-                if (label, d) in done:
+                if _skip(done, (curve_key, d)):
                     continue
-                record = {"label": label, "curve": [str(a) for a in model.ainvs], "d": d}
+                record = {"label": label, "curve": curve, "d": d}
                 try:
-                    if minimal is None:
-                        minimal = minimize(model).minimal
-                    report = _utilde_table(minimal, d)
+                    mm = _once(minimal, curve_key, lambda: minimize(model).minimal)
+                    primes = _once(odd_primes, d, lambda: odd_prime_divisors(d))
+                    report = _utilde_table(mm, d, primes)
                     record.update(report.to_json_dict())
                     if filter_fn(report):
                         verification = _verify(
-                            model, minimal, d, report, precision_bits, tolerance
+                            model, mm, d, report, precision_bits, tolerance
                         )
                         vdict = verification.to_json_dict()
                         record.update(

@@ -67,7 +67,7 @@ class Invariants:
         return cls(b2, b4, b6, b8, c4, c6, delta, j)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=256)
 def _invariants_of(ainvs: tuple) -> Invariants:
     return Invariants.from_coefficients(*ainvs)
 

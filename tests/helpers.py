@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from twistperiod import (
     SingularCurveError,
     Transformation,
     WeierstrassModel,
+    is_prime,
     is_square_free,
     minimize,
 )
@@ -44,6 +46,14 @@ OMEGA_A = "1.29805532262"
 OMEGA_TWIST_A = "2.90253993995"
 OMEGA_TWIST_B = "1.73968697697"
 OMEGA_MINUS_B = "0.65753987145"
+
+
+def semiprime_beyond_rho_budget() -> int:
+    """p * q for the first two primes above 10^24: a square-free d of 49
+    digits whose factors Pollard rho cannot find within its budget."""
+    p = next(n for n in itertools.count(10**24) if is_prime(n))
+    q = next(n for n in itertools.count(p + 1) if is_prime(n))
+    return p * q
 
 
 def random_model(rng: random.Random, bound: int = 20) -> WeierstrassModel:

@@ -7,7 +7,13 @@ import sys
 import mpmath
 import pytest
 
-from helpers import CURVE_A, CURVE_B, TWIST_A_D, TWISTED_A
+from helpers import (
+    CURVE_A,
+    CURVE_B,
+    TWIST_A_D,
+    TWISTED_A,
+    semiprime_beyond_rho_budget,
+)
 from twistperiod import minimality
 from twistperiod.cli import main
 from twistperiod.periods import real_period
@@ -163,6 +169,13 @@ def test_exit_code_consistency_error(capsys, monkeypatch):
     assert json.loads(err)["error"] == "ConsistencyError"
 
 
+def test_exit_code_factorization_budget(capsys):
+    d = str(semiprime_beyond_rho_budget())
+    code, _, err = run_cli(capsys, "utilde", CURVE_A_ARG, d)
+    assert code == 5
+    assert json.loads(err)["error"] == "FactorizationBudgetError"
+
+
 def test_exit_code_bad_twist_parameter(capsys):
     code, _, _ = run_cli(capsys, "twist", CURVE_A_ARG, "five")
     assert code == 2
@@ -217,6 +230,24 @@ def test_scan_with_output_and_resume(capsys, tmp_path):
     assert code == 0
     assert json.loads(out)["records"] == 0
     assert len(results.read_text(encoding="utf-8").splitlines()) == 4
+
+
+def test_scan_summary_counts_errors_and_time(capsys, tmp_path):
+    source = tmp_path / "curves.jsonl"
+    source.write_text(
+        json.dumps([0, -1, 0, -6883, 222137]) + "\nnot json\n", encoding="utf-8"
+    )
+    results = tmp_path / "results.jsonl"
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "--output", str(results),
+        "scan", str(source), "--twists", "5", "4", "--filter", "none",
+    )
+    assert code == 0
+    summary = json.loads(out)
+    # two pairs of the curve (d = 4 is not square-free) and the bad line
+    assert (summary["records"], summary["checked"], summary["errors"]) == (3, 1, 2)
+    assert summary["seconds"] > 0
+    assert summary["pairs_per_s"] == pytest.approx(3 / summary["seconds"], rel=0.01)
 
 
 def test_scan_missing_file(capsys, tmp_path):

@@ -80,6 +80,44 @@ def test_factorize_prime_power_beyond_trial_division():
     assert factorize(p**3) == {p: 3}
 
 
+def _next_prime_by_trial_division(n: int) -> int:
+    while n < 2 or any(n % k == 0 for k in range(2, math.isqrt(n) + 1)):
+        n += 1
+    return n
+
+
+# Primes on both sides of the trial-division bound (4096) and of the old
+# bound (10^6), some squared: the cofactor left to rho then holds one or
+# more primes, or a prime power.
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=10**3, max_value=10**7), st.sampled_from([1, 2])
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(min_value=1, max_value=1000),
+)
+@settings(max_examples=150, deadline=None)
+def test_factorize_matches_trial_division_reference(chosen, cofactor):
+    expected = {}
+    for base, exponent in chosen:
+        p = _next_prime_by_trial_division(base)
+        expected[p] = expected.get(p, 0) + exponent
+    n = 1
+    for p, e in expected.items():
+        n *= p**e
+    # The small cofactor's primes, found by plain trial division.
+    k, rest = 2, cofactor
+    while rest > 1:
+        while rest % k == 0:
+            expected[k] = expected.get(k, 0) + 1
+            rest //= k
+        k += 1
+    assert factorize(n * cofactor) == expected
+
+
 @given(st.integers(min_value=1, max_value=10**12))
 @settings(max_examples=150, deadline=None)
 def test_factorize_reconstructs_and_certifies(n):

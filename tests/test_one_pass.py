@@ -1,11 +1,12 @@
-"""Each public entry point minimizes its curve once and builds each lattice once."""
+"""Each public entry point minimizes its curve once and builds each lattice
+once; a scan factors each twist parameter once."""
 
 import sys
 
 import pytest
 
 from helpers import CURVE_A, CURVE_B, TWIST_A_D, TWIST_B_D
-from twistperiod import minimality, periods
+from twistperiod import exact, minimality, periods
 from twistperiod.minimality import ConsistencyError
 from twistperiod.periods import period_report
 from twistperiod.verification import scan, verify_twist_period_relation
@@ -43,6 +44,34 @@ def test_scan_minimizes_once_per_curve(monkeypatch):
     records = scan(curves, twists, filter="none")
     assert len(records) == len(curves) * len(twists)
     assert len(calls) == len(curves)
+
+
+def test_scan_factors_each_d_once(monkeypatch):
+    curves = [("alpha", CURVE_A), ("beta", CURVE_B), ("gamma", CURVE_A)]
+    twists = [1, 5, -7, 10, 1_000_003 * 1_000_033]
+    calls = count_calls(monkeypatch, exact.odd_prime_divisors)
+    records = scan(curves, twists, filter="none")
+    assert len(records) == len(curves) * len(twists)
+    assert not any("error" in r for r in records)
+    assert sorted(args[0] for args in calls) == sorted(twists)
+
+
+def test_scan_gives_each_bad_d_one_error_record_per_curve(monkeypatch):
+    curves = [("alpha", CURVE_A), ("beta", CURVE_B)]
+    calls = count_calls(monkeypatch, exact.odd_prime_divisors)
+    records = scan(curves, [0, 5, 4], filter="none")
+    errors = {
+        (r["label"], r["d"]): r["error"] for r in records if "error" in r
+    }
+    assert errors == {
+        (label, d): message
+        for label, _ in curves
+        for d, message in (
+            (0, "ValueError: 0 is not a valid twist parameter"),
+            (4, "ValueError: d = 4 is not square-free"),
+        )
+    }
+    assert sorted(args[0] for args in calls) == [0, 4, 5]
 
 
 def test_period_report_builds_one_lattice(monkeypatch):

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import mpmath as mp
 import pytest
@@ -13,6 +14,7 @@ from helpers import (
     TWIST_B_D,
     UTILDE_A,
     UTILDE_B,
+    semiprime_beyond_rho_budget,
 )
 from twistperiod.minimality import compute_utilde
 from twistperiod.verification import (
@@ -222,6 +224,36 @@ def test_scan_resume_drops_partial_last_line(tmp_path):
     text = results.read_text(encoding="utf-8")
     keys = [(r["label"], r["d"]) for r in map(json.loads, text.splitlines())]
     assert sorted(keys) == [("alpha", 1), ("alpha", 5), ("beta", 1), ("beta", 5)]
+
+
+def test_scan_resume_matches_pairs_by_content(tmp_path):
+    source = tmp_path / "curves.jsonl"
+    lines = [json.dumps([0, -1, 0, -6883, 222137]), json.dumps([1, 0, 1, -173, 879])]
+    source.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    results = tmp_path / "results.jsonl"
+    scan(iter_curve_file(str(source)), [1, 5], filter="none", results_path=str(results))
+
+    # A new first line shifts every default label by one.
+    source.write_text("\n".join([json.dumps([-1, 0])] + lines) + "\n", encoding="utf-8")
+    second = scan(
+        iter_curve_file(str(source)), [1, 5], filter="none", results_path=str(results)
+    )
+    assert [(r["label"], r["d"]) for r in second] == [("curve-0", 1), ("curve-0", 5)]
+    stored = results.read_text(encoding="utf-8").splitlines()
+    keys = [(tuple(r["curve"]), r["d"]) for r in map(json.loads, stored)]
+    assert len(keys) == 6
+    assert len(set(keys)) == 6
+
+
+def test_scan_records_a_d_beyond_the_factorization_budget():
+    big = semiprime_beyond_rho_budget()
+    start = time.perf_counter()
+    records = scan([("alpha", CURVE_A)], [big, 3], filter="none")
+    assert time.perf_counter() - start < 10
+    assert [r["d"] for r in records] == [big, 3]
+    assert records[0]["error"].startswith("FactorizationBudgetError: ")
+    assert "error" not in records[1]
+    assert records[1]["utilde"] == str(compute_utilde(CURVE_A, 3).utilde)
 
 
 def test_scan_no_resume_reprocesses(tmp_path):
