@@ -32,7 +32,12 @@ from typing import Mapping
 
 from .exact import INFINITY, ExtendedValuation, factorize, odd_prime_divisors, vp
 from .twisting import twist
-from .weierstrass import Transformation, WeierstrassModel, padic_signature
+from .weierstrass import (
+    PAdicSignature,
+    Transformation,
+    WeierstrassModel,
+    padic_signature,
+)
 
 CASE_LABELS = (
     "1a",
@@ -105,53 +110,80 @@ def _shifted_residue(c6: Fraction, k: int, mult: int) -> int | None:
     return (n >> k) * mult % 4
 
 
+_ONE = Fraction(1)
+_HALF = Fraction(1, 2)
+_TWO = Fraction(2)
+_FOUR = Fraction(4)
+
+
 def _classify(m: WeierstrassModel, d: int, p: int) -> tuple[str, Fraction, int]:
     """(case label, u_p, v_p(delta) shift) for the minimal twist of m by d.
 
     m must be minimal for the answer to be meaningful. Exactly one label
-    applies to every (m, d, p).
+    applies to every (m, d, p). For odd p | d, "1b" needs a gauge of at least
+    6, hence p | c4 and p | c6: an integral m with p not dividing both is
+    "1a" at once, and only the primes of gcd(c4, c6) take valuations.
     """
     if p == 2:
         return _classify_at_two(m, d)
-    if d % p == 0:
-        if signature_gauge(m, p) < 6 or (p == 3 and vp(m.invariants.c6, p) == 5):
-            return "1a", Fraction(1), 6
-        return "1b", Fraction(p), -6
-    return "odd-p-not-dividing-d", Fraction(1), 0
+    if d % p:
+        return "odd-p-not-dividing-d", _ONE, 0
+    inv = m.invariants
+    c4, c6 = inv.c4, inv.c6
+    integral = c4.denominator == 1 == c6.denominator
+    if (
+        (integral and (c4.numerator % p or c6.numerator % p))
+        or signature_gauge(m, p) < 6
+        or (p == 3 and vp(c6, p) == 5)
+    ):
+        return "1a", _ONE, 6
+    return "1b", Fraction(p), -6
+
+
+def _signature_at_two(m: WeierstrassModel) -> PAdicSignature:
+    """padic_signature(m, 2), computed once per model instance and kept on it:
+    it does not depend on d."""
+    sig = m.__dict__.get("_signature_at_two")
+    if sig is None:
+        sig = padic_signature(m, 2)
+        object.__setattr__(m, "_signature_at_two", sig)
+    return sig
 
 
 def _classify_at_two(m: WeierstrassModel, d: int) -> tuple[str, Fraction, int]:
-    sig = padic_signature(m, 2)
-    a, b, c = sig.vc4, sig.vc6, sig.vdelta
+    a, b, c = _signature_at_two(m)
     c6 = m.invariants.c6
     if d % 4 == 1:
-        return "2a", Fraction(1), 0
+        return "2a", _ONE, 0
     if d % 4 == 3:
         if (a == 0 and b == 0) or (b == 3 and c == 0 and a >= 4):
-            return "2b-i", Fraction(1, 2), 12
+            return "2b-i", _HALF, 12
         if (a == 4 and b == 6 and c >= 12 and _shifted_residue(c6, 6, d) == 3) or (
             b == 9 and c == 12 and a >= 8 and _shifted_residue(c6, 9, d) == 1
         ):
-            return "2b-ii", Fraction(2), -12
-        return "2b-iii", Fraction(1), 0
+            return "2b-ii", _TWO, -12
+        return "2b-iii", _ONE, 0
     # d even: d = 2w with w odd since d is square-free.
     w = d // 2
     if a == 0 and b == 0:
-        return "2c-i", Fraction(1, 2), 18
+        return "2c-i", _HALF, 18
     if a == 6 and b == 9 and c >= 18 and _shifted_residue(c6, 9, w) == 3:
-        return "2c-ii", Fraction(4), -18
+        return "2c-ii", _FOUR, -18
     if (
         a in (4, 5)
         or b in (3, 5, 7)
         or (b == 6 and c == 6 and a >= 6 and _shifted_residue(c6, 6, w) == 3)
     ):
-        return "2c-iii", Fraction(1), 6
-    return "2c-iv", Fraction(2), -6
+        return "2c-iii", _ONE, 6
+    return "2c-iv", _TWO, -6
 
 
 def utilde_factor_at(m: WeierstrassModel, d: int, p: int) -> tuple[Fraction, str]:
     """(u_p, case label) at prime p for the minimal twist of the minimal
-    model m by square-free d."""
+    model m by square-free d.
+
+    Cheap per call: the 2-adic signature is kept on m, and an odd p | d that
+    does not divide both c4 and c6 is "1a" without any valuation."""
     label, u_p, _ = _classify(m, d, p)
     return u_p, label
 
@@ -188,8 +220,11 @@ def _utilde_table(
         odd_primes = odd_prime_divisors(d)
     primes = [2] + odd_primes
     per_prime = {p: utilde_factor_at(mm, d, p) for p in primes}
-    utilde = math.prod(u_p for u_p, _ in per_prime.values())
-    return UTildeResult(per_prime=per_prime, utilde=utilde)
+    num = den = 1
+    for u_p, _ in per_prime.values():
+        num *= u_p.numerator
+        den *= u_p.denominator
+    return UTildeResult(per_prime=per_prime, utilde=Fraction(num, den))
 
 
 # ---------------------------------------------------------------------------

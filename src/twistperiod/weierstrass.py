@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .exact import ExtendedValuation, vp
@@ -98,8 +98,11 @@ class WeierstrassModel:
     def ainvs(self) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
-    @property
+    @cached_property
     def invariants(self) -> Invariants:
+        """The model's Invariants, computed on first access and then kept on
+        the instance, so later accesses neither recompute nor hash the
+        coefficients."""
         return _invariants_of(self.ainvs)
 
     @property

@@ -1,6 +1,7 @@
 """Command-line interface: all subcommands, formats, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ from helpers import (
     TWISTED_A,
     semiprime_beyond_rho_budget,
 )
+import twistperiod
 from twistperiod import minimality
 from twistperiod.cli import main
 from twistperiod.periods import real_period
@@ -264,6 +266,10 @@ def test_scan_missing_file(capsys, tmp_path):
 
 
 def test_python_dash_m_smoke():
+    # The child imports twistperiod from where this process found it.
+    package_root = os.path.dirname(os.path.dirname(twistperiod.__file__))
+    path = [package_root, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     completed = subprocess.run(
         [
             sys.executable,
@@ -278,6 +284,7 @@ def test_python_dash_m_smoke():
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert completed.returncode == 0, completed.stderr
     assert json.loads(completed.stdout)["passed"] is True

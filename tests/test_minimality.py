@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     CURVE_A,
@@ -27,6 +28,7 @@ from helpers import (
 from twistperiod.exact import INFINITY, vp
 from twistperiod.minimality import (
     CASE_LABELS,
+    _classify,
     compute_utilde,
     minimal_model_of_twist,
     minimal_twist_discriminant_valuation,
@@ -256,3 +258,62 @@ def test_randomized_valuation_predictions():
         for p in [2, *odd_prime_divisors(d)]:
             predicted = minimal_twist_discriminant_valuation(m, d, p)
             assert predicted == vp(actual_minimal.delta, p), (m.ainvs, d, p)
+
+
+# Minimal models with v_3(c6) = 5 and a 3-adic gauge of 6: the p = 3
+# exception keeps them in "1a" for 3 | d.
+THREE_ADIC_EXCEPTIONS = [
+    [0, 0, 0, -9, -18],
+    [0, 0, 0, -9, -36],
+    [0, 0, 1, -9, -25],
+    [1, -1, 1, -11, -8],
+]
+
+
+def _classify_by_gauge(m, d, p):
+    """_classify for odd p | d, always through signature_gauge."""
+    if signature_gauge(m, p) < 6 or (p == 3 and vp(m.c6, p) == 5):
+        return "1a", Fraction(1), 6
+    return "1b", Fraction(p), -6
+
+
+def _twisted_back(m, p):
+    """The minimal model of twist(m, p): twisting it back by p gives m's
+    curve again, so it is where "1b" fires."""
+    return minimize(twist(m, p)).minimal
+
+
+@given(
+    st.one_of(
+        integral_models(),
+        st.sampled_from(THREE_ADIC_EXCEPTIONS).map(WeierstrassModel.from_ainvs),
+    ),
+    st.sampled_from([3, 5, 7, 11, 13]),
+    square_free_ints(30),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_divisibility_shortcut_matches_signature_gauge(m, p, k, round_trip):
+    mm = minimize(m).minimal
+    if round_trip:
+        mm = _twisted_back(mm, p)
+    d = k if k % p == 0 else p * k
+    assert _classify(mm, d, p) == _classify_by_gauge(mm, d, p)
+
+
+def test_divisibility_shortcut_reaches_every_odd_label():
+    labels = set()
+    for coefficients in THREE_ADIC_EXCEPTIONS:
+        m = WeierstrassModel.from_ainvs(coefficients)
+        assert minimize(m).minimal == m
+        assert vp(m.c6, 3) == 5 and signature_gauge(m, 3) >= 6
+        assert _classify(m, -3, 3) == ("1a", 1, 6)
+        minimal_model_of_twist(m, -3)  # the table agrees with minimization
+    for coefficients in KNOWN_MINIMAL:
+        for p in (3, 5, 7):
+            mm = _twisted_back(WeierstrassModel.from_ainvs(coefficients), p)
+            for d in (p, -p, 2 * p):
+                label = _classify(mm, d, p)
+                assert label == _classify_by_gauge(mm, d, p)
+                labels.add(label[0])
+    assert labels == {"1a", "1b"}

@@ -1,12 +1,14 @@
 """Each public entry point minimizes its curve once and builds each lattice
-once; a scan factors each twist parameter once."""
+once; a scan factors each twist parameter once and takes each curve's 2-adic
+signature once."""
 
+import math
 import sys
 
 import pytest
 
-from helpers import CURVE_A, CURVE_B, TWIST_A_D, TWIST_B_D
-from twistperiod import exact, minimality, periods
+from helpers import CURVE_A, CURVE_B, CURVE_C, TWIST_A_D, TWIST_B_D
+from twistperiod import exact, minimality, periods, weierstrass
 from twistperiod.minimality import ConsistencyError
 from twistperiod.periods import period_report
 from twistperiod.verification import scan, verify_twist_period_relation
@@ -72,6 +74,28 @@ def test_scan_gives_each_bad_d_one_error_record_per_curve(monkeypatch):
         )
     }
     assert sorted(args[0] for args in calls) == [0, 4, 5]
+
+
+def test_scan_table_takes_valuations_only_where_they_decide(monkeypatch):
+    # 6299 divides the discriminant of CURVE_A and 139 that of CURVE_B, but
+    # neither divides gcd(c4, c6) of any curve here. Valuations at 2 are the
+    # 2-adic signature's, taken once per curve.
+    curves = [("alpha", CURVE_A), ("beta", CURVE_B), ("gamma", CURVE_C)]
+    twists = [1, 5, -7, 10, -3, 15, 11 * 13, -6299, 3 * 139, -2 * 5 * 7]
+    for label, curve in curves:
+        signatures = count_calls(monkeypatch, weierstrass.padic_signature)
+        valuations = count_calls(monkeypatch, exact.vp)
+        factors = count_calls(monkeypatch, minimality.utilde_factor_at)
+        records = scan([(label, curve)], twists, filter="none")
+        monkeypatch.undo()
+        assert len(records) == len(twists)
+        assert not any("error" in r for r in records)
+        assert sum(1 for _, p in signatures if p == 2) <= 1
+        gcd = math.gcd(int(curve.c4), int(curve.c6))
+        assert all(gcd % p == 0 for _, p in valuations if p != 2)
+        assert len(factors) == sum(
+            1 + len(exact.odd_prime_divisors(d)) for d in twists
+        )
 
 
 def test_period_report_builds_one_lattice(monkeypatch):
