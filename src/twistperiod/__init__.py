@@ -8,10 +8,7 @@ AGM, and numerical verification that the real period of a twist matches
 """
 
 from .exact import (
-    INFINITY,
-    ExtendedValuation,
     FactorizationBudgetError,
-    PadicInfinity,
     factorize,
     is_prime,
     is_square_free,
@@ -27,13 +24,11 @@ from .minimality import (
     minimal_model_of_twist,
     minimal_twist_discriminant_valuation,
     minimize,
-    signature_gauge,
     utilde_factor_at,
 )
 from .periods import (
     DEFAULT_PRECISION_BITS,
     LatticeRecognitionError,
-    PeriodLattice,
     PeriodReport,
     PrecisionError,
     complex_agm,
@@ -44,7 +39,7 @@ from .periods import (
     real_components,
     real_period,
 )
-from .twisting import TwistMap, twist, twist_transformation
+from .twisting import twist
 from .verification import (
     DEFAULT_TOLERANCE,
     FILTERS,
@@ -54,9 +49,7 @@ from .verification import (
     verify_twist_period_relation,
 )
 from .weierstrass import (
-    IDENTITY,
     Invariants,
-    PAdicSignature,
     SingularCurveError,
     Transformation,
     WeierstrassModel,
@@ -70,22 +63,15 @@ __all__ = [
     "ConsistencyError",
     "DEFAULT_PRECISION_BITS",
     "DEFAULT_TOLERANCE",
-    "ExtendedValuation",
     "FILTERS",
     "FactorizationBudgetError",
-    "IDENTITY",
-    "INFINITY",
     "Invariants",
     "LatticeRecognitionError",
     "MinimalModelResult",
-    "PAdicSignature",
-    "PadicInfinity",
-    "PeriodLattice",
     "PeriodReport",
     "PrecisionError",
     "SingularCurveError",
     "Transformation",
-    "TwistMap",
     "UTildeResult",
     "VerificationReport",
     "WeierstrassModel",
@@ -107,9 +93,7 @@ __all__ = [
     "real_components",
     "real_period",
     "scan",
-    "signature_gauge",
     "twist",
-    "twist_transformation",
     "utilde_factor_at",
     "verify_twist_period_relation",
     "vp",

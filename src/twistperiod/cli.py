@@ -19,7 +19,7 @@ environment variable), --tolerance (default 1e-9), --format json|text,
 --output PATH.
 
 Exit codes: 0 success; 2 malformed input; 3 singular curve; 4 domain errors
-(non-square-free d, bad precision); 5 numeric failure (AGM non-convergence,
+(non-square-free d, bad precision or tolerance); 5 numeric failure (AGM non-convergence,
 ambiguous lattice recognition, a factorization beyond its budget); 6 internal
 consistency failure; 1 unexpected.
 """

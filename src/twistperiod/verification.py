@@ -89,6 +89,15 @@ def verify_twist_period_relation(
     return _verify(m, minimal, d, _utilde_table(minimal, d), precision_bits, tolerance)
 
 
+def _check_settings(precision_bits: int, tolerance: float) -> int:
+    """precision_bits as an int, once both it and tolerance are valid;
+    ValueError otherwise (a NaN tolerance is not positive)."""
+    precision_bits = _check_precision(precision_bits)
+    if not tolerance > 0:
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    return precision_bits
+
+
 def _verify(
     curve: WeierstrassModel,
     minimal: WeierstrassModel,
@@ -99,9 +108,7 @@ def _verify(
 ) -> VerificationReport:
     """verify_twist_period_relation for the minimal model of curve and the
     table's report for (minimal, d)."""
-    precision_bits = _check_precision(precision_bits)
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    precision_bits = _check_settings(precision_bits, tolerance)
     twist_minimal = _minimal_twist(minimal, d, report).minimal
     with mp.workprec(precision_bits + 16):
         utilde = mpf(report.utilde.numerator) / report.utilde.denominator
@@ -137,9 +144,6 @@ def _verify(
 # Bulk scanning
 # ---------------------------------------------------------------------------
 
-FilterFn = Callable[[UTildeResult], bool]
-
-
 def _has_odd_prime_factor(report: UTildeResult) -> bool:
     n = abs(int(2 * report.utilde))
     while n % 2 == 0:
@@ -147,7 +151,7 @@ def _has_odd_prime_factor(report: UTildeResult) -> bool:
     return n > 1
 
 
-FILTERS: dict[str, FilterFn] = {
+FILTERS: dict[str, Callable[[UTildeResult], bool]] = {
     "all": lambda report: True,
     "none": lambda report: False,
     "odd-prime": _has_odd_prime_factor,
@@ -244,7 +248,7 @@ def _normalize_entries(curves: Iterable[CurveEntry | dict]) -> Iterable[dict]:
 def scan(
     curves: Iterable[CurveEntry | dict],
     d_values: Iterable[int],
-    filter: Union[str, FilterFn] = "odd-prime",
+    filter: str = "odd-prime",
     precision_bits: int = DEFAULT_PRECISION_BITS,
     tolerance: float = DEFAULT_TOLERANCE,
     results_path: Optional[str] = None,
@@ -265,16 +269,18 @@ def scan(
     verify_twist_period_relation. Per-pair failures become {'error': ...}
     records rather than aborting the scan. Records come back (and are
     written) in input order, d-major within each curve.
+
+    `filter` is a name in FILTERS. An unknown filter, a precision below the
+    minimum or a tolerance that is not positive raises ValueError before the
+    results file is read or opened.
     """
-    if isinstance(filter, str):
-        try:
-            filter_fn = FILTERS[filter]
-        except KeyError:
-            raise ValueError(
-                f"unknown filter {filter!r}; available: {sorted(FILTERS)}"
-            ) from None
-    else:
-        filter_fn = filter
+    try:
+        filter_fn = FILTERS[filter]
+    except KeyError:
+        raise ValueError(
+            f"unknown filter {filter!r}; available: {sorted(FILTERS)}"
+        ) from None
+    _check_settings(precision_bits, tolerance)
     d_list = [int(d) for d in d_values]
     existing = _existing_keys(results_path) if results_path else Counter()
     done = existing if resume else Counter()

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Union
 
 from .exact import ExtendedValuation, vp
 
@@ -125,9 +125,17 @@ class WeierstrassModel:
         return all(a.denominator == 1 for a in self.ainvs)
 
     @classmethod
-    def from_ainvs(cls, ainvs: Sequence[Rational]) -> "WeierstrassModel":
+    def from_ainvs(
+        cls, ainvs: list[Rational] | tuple[Rational, ...]
+    ) -> "WeierstrassModel":
         """Build from [a1,a2,a3,a4,a6], or the short form [A,B] meaning
-        y^2 = x^3 + A*x + B."""
+        y^2 = x^3 + A*x + B. Anything but a list or a tuple is a
+        ValueError, so a string of digits is not read as coefficients."""
+        if not isinstance(ainvs, (list, tuple)):
+            raise ValueError(
+                "a model must be a list or tuple of coefficients, "
+                f"got {type(ainvs).__name__}"
+            )
         ainvs = list(ainvs)
         if len(ainvs) == 2:
             ainvs = [0, 0, 0, ainvs[0], ainvs[1]]
@@ -143,8 +151,6 @@ class WeierstrassModel:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid model JSON: {exc}") from exc
-        if not isinstance(data, list):
-            raise ValueError("model JSON must be an array of coefficients")
         return cls.from_ainvs(data)
 
     def to_json(self) -> str:

@@ -140,6 +140,9 @@ def test_exit_code_parse_error(capsys):
     assert code == 2
     payload = json.loads(err)
     assert "error" in payload and "message" in payload
+    # a JSON string is not a model, here as in a scanned curve file
+    code, _, _ = run_cli(capsys, "invariants", '"12345"')
+    assert code == 2
 
 
 def test_exit_code_singular_curve(capsys):
@@ -154,6 +157,9 @@ def test_exit_code_domain_error(capsys):
     assert code == 4
     # bad precision
     code, _, _ = run_cli(capsys, "--precision-bits", "16", "periods", CURVE_A_ARG)
+    assert code == 4
+    # a NaN tolerance is not positive
+    code, _, _ = run_cli(capsys, "--tolerance", "nan", "verify", CURVE_A_ARG, "5")
     assert code == 4
 
 
@@ -250,6 +256,24 @@ def test_scan_summary_counts_errors_and_time(capsys, tmp_path):
     assert (summary["records"], summary["checked"], summary["errors"]) == (3, 1, 2)
     assert summary["seconds"] > 0
     assert summary["pairs_per_s"] == pytest.approx(3 / summary["seconds"], rel=0.01)
+
+
+@pytest.mark.parametrize(
+    "option", [("--precision-bits", "10"), ("--tolerance", "nan"), ("--tolerance", "0")]
+)
+def test_scan_rejects_bad_settings_and_keeps_output(capsys, tmp_path, option):
+    source = tmp_path / "curves.jsonl"
+    source.write_text(json.dumps([0, -1, 0, -6883, 222137]) + "\n", encoding="utf-8")
+    results = tmp_path / "results.jsonl"
+    results.write_text('{"label": "partial', encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, *option, "--output", str(results),
+        "scan", str(source), "--twists", "5", "--filter", "all",
+    )
+    assert code == 4
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
+    assert results.read_text(encoding="utf-8") == '{"label": "partial'
 
 
 def test_scan_missing_file(capsys, tmp_path):

@@ -17,7 +17,8 @@ from helpers import (
     rational_models,
     square_free_ints,
 )
-from twistperiod.twisting import twist, twist_transformation
+from twist_oracle import twist_transformation
+from twistperiod.twisting import twist
 from twistperiod.weierstrass import WeierstrassModel
 
 

@@ -275,10 +275,29 @@ def test_scan_rejects_unknown_filter():
         scan([("alpha", CURVE_A)], [1], filter="bogus")
 
 
-def test_scan_accepts_callable_filter():
-    records = scan(
-        [("alpha", CURVE_A)],
-        [TWIST_A_D],
-        filter=lambda report: report.utilde == 5,
-    )
-    assert records[0]["verified"] is True
+@pytest.mark.parametrize(
+    "bad", [{"precision_bits": 10}, {"tolerance": 0}, {"tolerance": float("nan")}]
+)
+def test_scan_checks_settings_before_touching_results(tmp_path, bad):
+    # a filter that verifies nothing still rejects settings verify would
+    results = tmp_path / "results.jsonl"
+    results.write_text('{"label": "partial', encoding="utf-8")
+    with pytest.raises(ValueError):
+        scan([("alpha", CURVE_A)], [5], filter="none", results_path=str(results), **bad)
+    assert results.read_text(encoding="utf-8") == '{"label": "partial'
+
+
+def test_verify_rejects_nan_tolerance():
+    with pytest.raises(ValueError):
+        verify_twist_period_relation(CURVE_A, TWIST_A_D, tolerance=float("nan"))
+
+
+def test_scan_records_json_string_curves_as_errors(tmp_path):
+    source = tmp_path / "curves.jsonl"
+    source.write_text('"12345"\n{"label": "short", "curve": "12"}\n', encoding="utf-8")
+    records = scan(iter_curve_file(str(source)), [5], filter="none")
+    assert [(r["label"], r["d"]) for r in records] == [
+        ("curve-0", None),
+        ("short", None),
+    ]
+    assert all(r["error"].startswith("ValueError: ") for r in records)

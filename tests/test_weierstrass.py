@@ -98,6 +98,13 @@ def test_from_ainvs_lengths():
         WeierstrassModel.from_ainvs([1, 2, 3])
 
 
+def test_from_ainvs_takes_only_lists_and_tuples():
+    assert WeierstrassModel.from_ainvs((-1, 0)) == WeierstrassModel.from_ainvs([-1, 0])
+    for bad in ("12345", "12", {"curve": [-1, 0]}, iter([-1, 0]), 12):
+        with pytest.raises(ValueError):
+            WeierstrassModel.from_ainvs(bad)
+
+
 def test_json_round_trip():
     m = WeierstrassModel(1, -2, 3, Fraction(-7, 4), 5)
     again = WeierstrassModel.from_json(m.to_json())
