@@ -170,7 +170,7 @@ def _cmd_verify(args) -> dict:
 
 def _cmd_scan(args) -> Optional[dict]:
     start = time.perf_counter()
-    records = scan(
+    counts = scan(
         iter_curve_file(args.file),
         args.twists,
         filter=args.filter,
@@ -181,20 +181,14 @@ def _cmd_scan(args) -> Optional[dict]:
         stream=sys.stdout if args.output is None else None,
     )
     seconds = time.perf_counter() - start
-    if args.output is not None:
-        checked = sum(1 for r in records if "error" not in r)
-        failed = [r for r in records if r.get("passed") is False]
-        summary = {
-            "written": args.output,
-            "records": len(records),
-            "checked": checked,
-            "verified_failures": len(failed),
-            "errors": len(records) - checked,
-            "seconds": round(seconds, 6),
-            "pairs_per_s": round(len(records) / seconds, 1) if seconds else 0.0,
-        }
-        return summary
-    return None
+    if args.output is None:
+        return None
+    return {
+        "written": args.output,
+        **counts,
+        "seconds": round(seconds, 6),
+        "pairs_per_s": round(counts["records"] / seconds, 1) if seconds else 0.0,
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:

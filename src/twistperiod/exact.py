@@ -10,6 +10,7 @@ the cofactor with a fixed iteration budget, and a Miller-Rabin primality test
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import Union
@@ -175,7 +176,7 @@ def factorize(n: int) -> dict[int, int]:
     FactorizationBudgetError when rho exhausts its budget on a piece, so the
     result is never incomplete.
     """
-    n = int(n)
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"factorize expects a positive integer, got {n}")
     factors: dict[int, int] = {}
@@ -236,8 +237,8 @@ def vp(x: Union[int, Fraction], p: int) -> ExtendedValuation:
 
 
 def is_square_free(d: int) -> bool:
-    """True when no prime square divides d. Raises on d = 0."""
-    d = int(d)
+    """True when no prime square divides the integer d. Raises on d = 0."""
+    d = operator.index(d)
     if d == 0:
         raise ValueError("0 is not a valid twist parameter")
     return all(e == 1 for e in factorize(abs(d)).values())
@@ -246,10 +247,11 @@ def is_square_free(d: int) -> bool:
 def odd_prime_divisors(d: int) -> list[int]:
     """Sorted odd primes dividing the square-free integer d.
 
-    Raises ValueError when d is zero or not square-free, and
-    FactorizationBudgetError when |d| cannot be factored within the budget.
+    Raises TypeError when d is not an integer, ValueError when d is zero or
+    not square-free, and FactorizationBudgetError when |d| cannot be
+    factored within the budget.
     """
-    d = int(d)
+    d = operator.index(d)
     if d == 0:
         raise ValueError("0 is not a valid twist parameter")
     factors = factorize(abs(d))

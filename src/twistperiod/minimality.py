@@ -240,24 +240,6 @@ def _kraus_at_2(c4: int, c6: int) -> bool:
     return c6 % 4 == 3 or (c4 % 16 == 0 and c6 % 32 in (0, 8))
 
 
-def _least_integral_scale(m: WeierstrassModel) -> int:
-    """Least n >= 1 with a_i * n^i integral for all coefficients."""
-    weights = (1, 2, 3, 4, 6)
-    exponents: dict[int, int] = {}
-    for a, w in zip(m.ainvs, weights):
-        den = a.denominator
-        if den == 1:
-            continue
-        for q, e in factorize(den).items():
-            need = -(-e // w)  # ceil(e / w)
-            if exponents.get(q, 0) < need:
-                exponents[q] = need
-    n = 1
-    for q, e in exponents.items():
-        n *= q**e
-    return n
-
-
 def _candidate_primes(c4: int, c6: int) -> list[int]:
     """Primes that could divide the minimization scale u.
 
@@ -344,11 +326,13 @@ def _solve_transformation(
 def minimize(m: WeierstrassModel) -> MinimalModelResult:
     """The canonical minimal model of m and the exact map reaching it.
 
-    Laska-Kraus-Connell: integralize, strip the largest admissible scale u
-    prime by prime, rebuild the reduced model from the reduced (c4, c6).
+    Laska-Kraus-Connell: integralize by the lcm n of the denominators, strip
+    the largest admissible scale u prime by prime, rebuild the reduced model
+    from the reduced (c4, c6). n need not be the least integralizing scale:
+    the strip removes any excess, and the map's scale is u / n either way.
     Idempotent, and the map scale is 1 exactly when m is already minimal.
     """
-    n = _least_integral_scale(m)
+    n = math.lcm(*(a.denominator for a in m.ainvs))
     integral = Transformation(Fraction(1, n)).apply(m) if n > 1 else m
     inv = integral.invariants
     c4, c6, delta = int(inv.c4), int(inv.c6), int(inv.delta)

@@ -14,6 +14,7 @@ rational models, so no integral clearing is done here.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .exact import is_square_free
@@ -22,7 +23,7 @@ from .weierstrass import WeierstrassModel
 
 def twist(m: WeierstrassModel, d: int) -> WeierstrassModel:
     """The quadratic twist of m by the square-free integer d."""
-    d = int(d)
+    d = operator.index(d)
     if not is_square_free(d):
         raise ValueError(f"twist parameter d = {d} must be square-free")
     a1, a2, a3, a4, a6 = m.ainvs

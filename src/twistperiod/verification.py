@@ -11,18 +11,20 @@ compared in absolute value at a configurable precision and tolerance.
 
 scan() runs the per-prime table over a stream of curves and twist parameters,
 optionally escalating to a full period verification when a filter on the
-utilde result matches, writing JSON-lines incrementally so an interrupted run
-can resume by skipping pairs already present in the results file. A pair is
-known by its content, the normalized a-invariants and d, not by its label.
+utilde result matches. It writes each record once to one sink as a JSON line
+and keeps only counts, so its memory does not grow with the scan; a rerun
+resumes by skipping pairs already in the results file, known by content (the
+normalized a-invariants and d), not by label.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Optional, TextIO, Union
+from typing import Callable, Hashable, Iterable, Optional, TextIO
 
 from mpmath import mp, mpf
 
@@ -158,7 +160,7 @@ FILTERS: dict[str, Callable[[UTildeResult], bool]] = {
     "nontrivial": lambda report: report.utilde != 1,
 }
 
-CurveEntry = Union[WeierstrassModel, tuple[str, WeierstrassModel]]
+CurveEntry = tuple[str, WeierstrassModel]
 
 
 def iter_curve_file(path: str) -> Iterable[dict]:
@@ -235,11 +237,9 @@ def _once(known: dict, key: Hashable, compute: Callable):
 
 
 def _normalize_entries(curves: Iterable[CurveEntry | dict]) -> Iterable[dict]:
-    for index, entry in enumerate(curves):
+    for entry in curves:
         if isinstance(entry, dict):
             yield entry
-        elif isinstance(entry, WeierstrassModel):
-            yield {"label": f"curve-{index}", "model": entry}
         else:
             label, model = entry
             yield {"label": str(label), "model": model}
@@ -254,25 +254,31 @@ def scan(
     results_path: Optional[str] = None,
     resume: bool = True,
     stream: Optional[TextIO] = None,
-) -> list[dict]:
+) -> dict[str, int]:
     """Run the twist table (and, when the filter matches, full verification)
-    over every (curve, d) pair.
+    over every (curve, d) pair, with curves given as (label, model) pairs or
+    iter_curve_file entries.
 
-    Pairs already present in `results_path` are skipped when `resume` is set,
-    and each finished record is appended and flushed immediately, so an
-    interrupted scan can be rerun with the same arguments; a partial last
-    line left by the interruption is cut off first. A pair is matched by its
-    normalized a-invariants and d, so inserting lines into the curve file
-    does not shift it; an input that repeats a pair k times skips it as often
-    as the file already holds it. Each curve is minimized once and each d
-    factored once; verified pairs are cross-checked as in
+    Each record is written once, in input order and d-major within each
+    curve, to one sink: appended to `results_path` or written to `stream`,
+    and flushed at once; none is kept. Pairs already present in
+    `results_path` are skipped when `resume` is set, so an interrupted scan
+    can be rerun with the same arguments; a partial last line left by the
+    interruption is cut off first. A pair is matched by its normalized
+    a-invariants and d, so inserting lines into the curve file does not
+    shift it; an input that repeats a pair k times skips it as often as the
+    file already holds it. Each curve is minimized once and each d factored
+    once; verified pairs are cross-checked as in
     verify_twist_period_relation. Per-pair failures become {'error': ...}
-    records rather than aborting the scan. Records come back (and are
-    written) in input order, d-major within each curve.
+    records rather than aborting the scan.
+
+    Returns counts of the records written, skipped pairs not included:
+    records, checked (those without an error), verified_failures and errors.
 
     `filter` is a name in FILTERS. An unknown filter, a precision below the
-    minimum or a tolerance that is not positive raises ValueError before the
-    results file is read or opened.
+    minimum, a tolerance that is not positive or two sinks raise ValueError,
+    and a d that is not an integer TypeError, before the results file is
+    read or opened.
     """
     try:
         filter_fn = FILTERS[filter]
@@ -281,23 +287,24 @@ def scan(
             f"unknown filter {filter!r}; available: {sorted(FILTERS)}"
         ) from None
     _check_settings(precision_bits, tolerance)
-    d_list = [int(d) for d in d_values]
+    if results_path is not None and stream is not None:
+        raise ValueError("scan writes to results_path or to stream, not both")
+    d_list = [operator.index(d) for d in d_values]
     existing = _existing_keys(results_path) if results_path else Counter()
     done = existing if resume else Counter()
     odd_primes: dict = {}
-    records: list[dict] = []
+    records = errors = failures = 0
     out = stream
-    opened = None
     if results_path is not None:
-        opened = open(results_path, "a", encoding="utf-8")
-        out = opened
+        out = open(results_path, "a", encoding="utf-8")
     try:
         for entry in _normalize_entries(curves):
             label = entry["label"]
             if "error" in entry:
-                record = {"label": label, "d": None, "error": entry["error"]}
                 if not _skip(done, (label, None)):
-                    _emit(record, records, out)
+                    _emit({"label": label, "d": None, "error": entry["error"]}, out)
+                    records += 1
+                    errors += 1
                 continue
             model = entry["model"]
             curve = [str(a) for a in model.ainvs]
@@ -324,19 +331,27 @@ def scan(
                             rhs=vdict["rhs"],
                             abs_rel_error=vdict["abs_rel_error"],
                         )
+                        if not verification.passed:
+                            failures += 1
                     else:
                         record.update(verified=False, passed=None)
                 except Exception as exc:  # recorded, never fatal
                     record["error"] = f"{type(exc).__name__}: {exc}"
-                _emit(record, records, out)
+                    errors += 1
+                _emit(record, out)
+                records += 1
     finally:
-        if opened is not None:
-            opened.close()
-    return records
+        if results_path is not None:
+            out.close()
+    return {
+        "records": records,
+        "checked": records - errors,
+        "verified_failures": failures,
+        "errors": errors,
+    }
 
 
-def _emit(record: dict, records: list[dict], out: Optional[TextIO]) -> None:
-    records.append(record)
+def _emit(record: dict, out: Optional[TextIO]) -> None:
     if out is not None:
         out.write(json.dumps(record) + "\n")
         out.flush()

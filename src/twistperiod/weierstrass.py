@@ -31,8 +31,8 @@ class SingularCurveError(ValueError):
 
 
 def _coerce(x: Rational) -> Fraction:
-    if isinstance(x, float):
-        raise TypeError(f"coefficients must be exact rationals, got float {x!r}")
+    if isinstance(x, (float, bool)):
+        raise TypeError(f"coefficients must be exact rationals, got {x!r}")
     return Fraction(x)
 
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import io
 import itertools
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -15,6 +18,7 @@ from twistperiod import (
     is_prime,
     is_square_free,
     minimize,
+    scan,
 )
 
 # Two small curves with known twists and periods, used as pinned fixtures
@@ -54,6 +58,38 @@ def semiprime_beyond_rho_budget() -> int:
     p = next(n for n in itertools.count(10**24) if is_prime(n))
     q = next(n for n in itertools.count(p + 1) if is_prime(n))
     return p * q
+
+
+def _complete_lines(path) -> list[str]:
+    if not os.path.exists(path):
+        return []
+    with open(path, encoding="utf-8") as handle:
+        return [line for line in handle if line.endswith("\n")]
+
+
+def scan_records(curves, d_values, **options) -> list[dict]:
+    """The records one scan() call writes, parsed: read from a stream, or
+    the lines it appends to `results_path` when that option is given.
+    Also asserts that the counts scan returns describe exactly those
+    records."""
+    path = options.get("results_path")
+    if path is None:
+        stream = io.StringIO()
+        counts = scan(curves, d_values, stream=stream, **options)
+        lines = stream.getvalue().splitlines()
+    else:
+        kept = len(_complete_lines(path))
+        counts = scan(curves, d_values, **options)
+        lines = _complete_lines(path)[kept:]
+    records = [json.loads(line) for line in lines]
+    errors = sum(1 for r in records if "error" in r)
+    assert counts == {
+        "records": len(records),
+        "checked": len(records) - errors,
+        "verified_failures": sum(1 for r in records if r.get("passed") is False),
+        "errors": errors,
+    }
+    return records
 
 
 def random_model(rng: random.Random, bound: int = 20) -> WeierstrassModel:

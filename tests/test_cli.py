@@ -22,6 +22,7 @@ from twistperiod.periods import real_period
 
 CURVE_A_ARG = json.dumps([int(a) for a in CURVE_A.ainvs])
 CURVE_B_ARG = json.dumps([int(a) for a in CURVE_B.ainvs])
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def run_cli(capsys, *argv):
@@ -143,6 +144,10 @@ def test_exit_code_parse_error(capsys):
     # a JSON string is not a model, here as in a scanned curve file
     code, _, _ = run_cli(capsys, "invariants", '"12345"')
     assert code == 2
+    # nor is JSON true the coefficient 1
+    code, _, err = run_cli(capsys, "invariants", "[true, 0, 0, 1, 1]")
+    assert code == 2
+    assert json.loads(err)["error"] == "ParseError"
 
 
 def test_exit_code_singular_curve(capsys):
@@ -256,6 +261,32 @@ def test_scan_summary_counts_errors_and_time(capsys, tmp_path):
     assert (summary["records"], summary["checked"], summary["errors"]) == (3, 1, 2)
     assert summary["seconds"] > 0
     assert summary["pairs_per_s"] == pytest.approx(3 / summary["seconds"], rel=0.01)
+
+
+# tests/data/golden_scan_none.jsonl is the records file of
+#   twistperiod --output F scan tests/data/golden_curves.jsonl --filter none \
+#       --twists 1 -1 5 -7 10 0 4 -12 417 2310
+# It holds exact arithmetic only, no period digits, so any change to a byte
+# of it is a change of behaviour.
+GOLDEN_TWISTS = ("1", "-1", "5", "-7", "10", "0", "4", "-12", "417", "2310")
+
+
+def test_scan_records_match_golden_file(capsys, tmp_path):
+    results = tmp_path / "results.jsonl"
+    code, out, _ = run_cli(
+        capsys, "--output", str(results),
+        "scan", os.path.join(DATA, "golden_curves.jsonl"),
+        "--filter", "none", "--twists", *GOLDEN_TWISTS,
+    )
+    assert code == 0
+    with open(os.path.join(DATA, "golden_scan_none.jsonl"), "rb") as handle:
+        assert results.read_bytes() == handle.read()
+    summary = [line.split(" = ") for line in out.splitlines()]
+    assert [key for key, _ in summary] == [
+        "written", "records", "checked", "verified_failures", "errors",
+        "seconds", "pairs_per_s",
+    ]
+    assert [value for _, value in summary[1:5]] == ["114", "77", "0", "37"]
 
 
 @pytest.mark.parametrize(

@@ -203,6 +203,14 @@ def test_is_square_free():
         is_square_free(0)
 
 
+@pytest.mark.parametrize("function", [factorize, is_square_free, odd_prime_divisors])
+def test_non_integer_arguments_are_type_errors(function):
+    # int() would read 5.5 as 5; Fraction(10, 2) is not an int either
+    for bad in (5.5, Fraction(10, 2), "5"):
+        with pytest.raises(TypeError):
+            function(bad)
+
+
 def test_odd_prime_divisors():
     assert odd_prime_divisors(1) == []
     assert odd_prime_divisors(-1) == []

@@ -7,11 +7,11 @@ import sys
 
 import pytest
 
-from helpers import CURVE_A, CURVE_B, CURVE_C, TWIST_A_D, TWIST_B_D
+from helpers import CURVE_A, CURVE_B, CURVE_C, TWIST_A_D, TWIST_B_D, scan_records
 from twistperiod import exact, minimality, periods, weierstrass
 from twistperiod.minimality import ConsistencyError
 from twistperiod.periods import period_report
-from twistperiod.verification import scan, verify_twist_period_relation
+from twistperiod.verification import verify_twist_period_relation
 
 
 def count_calls(monkeypatch, original) -> list:
@@ -43,7 +43,7 @@ def test_scan_minimizes_once_per_curve(monkeypatch):
     curves = [("alpha", CURVE_A), ("beta", CURVE_B), ("gamma", CURVE_A)]
     twists = [1, 5, -7, 10]
     calls = count_calls(monkeypatch, minimality.minimize)
-    records = scan(curves, twists, filter="none")
+    records = scan_records(curves, twists, filter="none")
     assert len(records) == len(curves) * len(twists)
     assert len(calls) == len(curves)
 
@@ -52,7 +52,7 @@ def test_scan_factors_each_d_once(monkeypatch):
     curves = [("alpha", CURVE_A), ("beta", CURVE_B), ("gamma", CURVE_A)]
     twists = [1, 5, -7, 10, 1_000_003 * 1_000_033]
     calls = count_calls(monkeypatch, exact.odd_prime_divisors)
-    records = scan(curves, twists, filter="none")
+    records = scan_records(curves, twists, filter="none")
     assert len(records) == len(curves) * len(twists)
     assert not any("error" in r for r in records)
     assert sorted(args[0] for args in calls) == sorted(twists)
@@ -61,7 +61,7 @@ def test_scan_factors_each_d_once(monkeypatch):
 def test_scan_gives_each_bad_d_one_error_record_per_curve(monkeypatch):
     curves = [("alpha", CURVE_A), ("beta", CURVE_B)]
     calls = count_calls(monkeypatch, exact.odd_prime_divisors)
-    records = scan(curves, [0, 5, 4], filter="none")
+    records = scan_records(curves, [0, 5, 4], filter="none")
     errors = {
         (r["label"], r["d"]): r["error"] for r in records if "error" in r
     }
@@ -86,7 +86,7 @@ def test_scan_table_takes_valuations_only_where_they_decide(monkeypatch):
         signatures = count_calls(monkeypatch, weierstrass.padic_signature)
         valuations = count_calls(monkeypatch, exact.vp)
         factors = count_calls(monkeypatch, minimality.utilde_factor_at)
-        records = scan([(label, curve)], twists, filter="none")
+        records = scan_records([(label, curve)], twists, filter="none")
         monkeypatch.undo()
         assert len(records) == len(twists)
         assert not any("error" in r for r in records)

@@ -38,6 +38,12 @@ def test_twist_parameter_must_be_square_free():
             twist(CURVE_A, bad)
 
 
+def test_twist_parameter_must_be_an_integer():
+    for bad in (5.5, Fraction(5), "5"):
+        with pytest.raises(TypeError):
+            twist(CURVE_A, bad)
+
+
 def test_short_model_twist_is_classical():
     # For y^2 = x^3 + A x + B the twist by d is y^2 = x^3 + A d^2 x + B d^3.
     m = WeierstrassModel.from_ainvs([-2, 3])

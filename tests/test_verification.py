@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
+import random
 import time
+import tracemalloc
 
 import mpmath as mp
 import pytest
@@ -14,8 +17,11 @@ from helpers import (
     TWIST_B_D,
     UTILDE_A,
     UTILDE_B,
+    random_model,
+    scan_records,
     semiprime_beyond_rho_budget,
 )
+from twistperiod.exact import is_square_free
 from twistperiod.minimality import compute_utilde
 from twistperiod.verification import (
     FILTERS,
@@ -145,14 +151,9 @@ def test_iter_curve_file(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_scan_streams_records_in_order():
-    stream = io.StringIO()
-    records = scan(
-        [("alpha", CURVE_A), ("beta", CURVE_B)],
-        [1, 5],
-        filter="none",
-        stream=stream,
-    )
+def test_scan_streams_records_in_order(tmp_path):
+    curves = [("alpha", CURVE_A), ("beta", CURVE_B)]
+    records = scan_records(curves, [1, 5], filter="none")
     assert [(r["label"], r["d"]) for r in records] == [
         ("alpha", 1),
         ("alpha", 5),
@@ -161,13 +162,13 @@ def test_scan_streams_records_in_order():
     ]
     assert all(r["verified"] is False for r in records)
     assert records[1]["utilde"] == "5"
-    # the stream got one JSON line per record
-    lines = [json.loads(line) for line in stream.getvalue().splitlines()]
-    assert lines == records
+    # a results file gets the same JSON lines as the stream
+    results = str(tmp_path / "results.jsonl")
+    assert scan_records(curves, [1, 5], filter="none", results_path=results) == records
 
 
 def test_scan_verifies_matching_pairs():
-    records = scan([("alpha", CURVE_A)], [TWIST_A_D], filter="odd-prime")
+    records = scan_records([("alpha", CURVE_A)], [TWIST_A_D], filter="odd-prime")
     assert len(records) == 1
     record = records[0]
     assert record["verified"] is True
@@ -178,7 +179,7 @@ def test_scan_verifies_matching_pairs():
 def test_scan_records_errors_and_continues(tmp_path):
     source = tmp_path / "curves.jsonl"
     _write_curve_file(source)
-    records = scan(iter_curve_file(str(source)), [5], filter="none")
+    records = scan_records(iter_curve_file(str(source)), [5], filter="none")
     # three parsed curves x one d, plus two error entries
     assert len(records) == 5
     error_records = [r for r in records if "error" in r]
@@ -188,7 +189,7 @@ def test_scan_records_errors_and_continues(tmp_path):
 
 def test_scan_resume_skips_done_pairs(tmp_path):
     results = tmp_path / "results.jsonl"
-    first = scan(
+    first = scan_records(
         [("alpha", CURVE_A), ("beta", CURVE_B)],
         [1, 5],
         filter="none",
@@ -198,7 +199,7 @@ def test_scan_resume_skips_done_pairs(tmp_path):
     stored = results.read_text(encoding="utf-8").splitlines()
     assert len(stored) == 4
 
-    second = scan(
+    second = scan_records(
         [("alpha", CURVE_A), ("beta", CURVE_B), ("gamma", CURVE_A)],
         [1, 5],
         filter="none",
@@ -235,7 +236,7 @@ def test_scan_resume_matches_pairs_by_content(tmp_path):
 
     # A new first line shifts every default label by one.
     source.write_text("\n".join([json.dumps([-1, 0])] + lines) + "\n", encoding="utf-8")
-    second = scan(
+    second = scan_records(
         iter_curve_file(str(source)), [1, 5], filter="none", results_path=str(results)
     )
     assert [(r["label"], r["d"]) for r in second] == [("curve-0", 1), ("curve-0", 5)]
@@ -248,7 +249,7 @@ def test_scan_resume_matches_pairs_by_content(tmp_path):
 def test_scan_records_a_d_beyond_the_factorization_budget():
     big = semiprime_beyond_rho_budget()
     start = time.perf_counter()
-    records = scan([("alpha", CURVE_A)], [big, 3], filter="none")
+    records = scan_records([("alpha", CURVE_A)], [big, 3], filter="none")
     assert time.perf_counter() - start < 10
     assert [r["d"] for r in records] == [big, 3]
     assert records[0]["error"].startswith("FactorizationBudgetError: ")
@@ -295,9 +296,77 @@ def test_verify_rejects_nan_tolerance():
 def test_scan_records_json_string_curves_as_errors(tmp_path):
     source = tmp_path / "curves.jsonl"
     source.write_text('"12345"\n{"label": "short", "curve": "12"}\n', encoding="utf-8")
-    records = scan(iter_curve_file(str(source)), [5], filter="none")
+    records = scan_records(iter_curve_file(str(source)), [5], filter="none")
     assert [(r["label"], r["d"]) for r in records] == [
         ("curve-0", None),
         ("short", None),
     ]
     assert all(r["error"].startswith("ValueError: ") for r in records)
+
+
+def test_scan_records_boolean_coefficients_as_errors(tmp_path):
+    # JSON true is not the coefficient 1
+    source = tmp_path / "curves.jsonl"
+    source.write_text("[true, 0, 0, 1, 1]\n", encoding="utf-8")
+    records = scan_records(iter_curve_file(str(source)), [5], filter="none")
+    assert [(r["label"], r["d"]) for r in records] == [("curve-0", None)]
+    assert records[0]["error"].startswith("TypeError: ")
+
+
+def test_non_integer_twist_parameter_is_a_type_error(tmp_path):
+    with pytest.raises(TypeError):
+        compute_utilde(CURVE_A, 5.5)
+    with pytest.raises(TypeError):
+        verify_twist_period_relation(CURVE_A, 5.5)
+    results = tmp_path / "results.jsonl"
+    results.write_text('{"label": "partial', encoding="utf-8")
+    with pytest.raises(TypeError):
+        scan([("alpha", CURVE_A)], [5.5, 6.9], filter="none", results_path=str(results))
+    assert results.read_text(encoding="utf-8") == '{"label": "partial'
+
+
+def test_scan_rejects_two_sinks_and_keeps_results(tmp_path):
+    results = tmp_path / "results.jsonl"
+    results.write_bytes(b'{"label": "partial')
+    stream = io.StringIO()
+    with pytest.raises(ValueError):
+        scan([("alpha", CURVE_A)], [5], filter="none", results_path=str(results),
+             stream=stream)
+    assert results.read_bytes() == b'{"label": "partial'
+    assert stream.getvalue() == ""
+
+
+def test_scan_returns_counts_of_the_records_it_wrote(tmp_path):
+    # At a tolerance of 1e-300 the pinned pair fails on its last bits.
+    curves = [("alpha", CURVE_A), {"label": "bad", "error": "ValueError: bad"}]
+    results = tmp_path / "results.jsonl"
+    options = dict(filter="all", tolerance=1e-300, results_path=str(results))
+    counts = scan(curves, [TWIST_A_D, 4], **options)
+    assert counts == {"records": 3, "checked": 1, "verified_failures": 1, "errors": 2}
+    records = [json.loads(line) for line in results.read_text().splitlines()]
+    assert len(records) == counts["records"]
+    assert sum("error" in r for r in records) == counts["errors"]
+    assert records[0]["passed"] is False
+    assert 0 < float(records[0]["abs_rel_error"]) < 1e-40
+    # resumed pairs are neither written nor counted
+    stored = results.read_bytes()
+    counts = scan(curves, [TWIST_A_D, 4], **options)
+    assert counts == {"records": 0, "checked": 0, "verified_failures": 0, "errors": 0}
+    assert results.read_bytes() == stored
+
+
+def test_scan_memory_does_not_grow_with_its_length():
+    rng = random.Random(40)
+    curves = [(f"c{i}", random_model(rng)) for i in range(40)]
+    square_free = (d for d in range(-200, 201) if d and is_square_free(d))
+    twists = sorted(square_free, key=abs)[:240]
+    assert len(twists) == 240
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        tracemalloc.start()
+        try:
+            counts = scan(curves, twists, filter="none", stream=sink)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 500_000
+    assert counts["records"] == 40 * 240

@@ -83,6 +83,14 @@ def test_float_coefficients_rejected():
         WeierstrassModel(0, 0, 0, 0.5, 1)
 
 
+def test_boolean_coefficients_rejected():
+    # JSON true is not the coefficient 1
+    with pytest.raises(TypeError):
+        WeierstrassModel(True, 0, 0, 1, 1)
+    with pytest.raises(TypeError):
+        WeierstrassModel.from_json("[true, 0, 0, 1, 1]")
+
+
 def test_rational_coefficients_accepted():
     m = WeierstrassModel(0, 0, 0, Fraction(1, 2), 1)
     assert m.ainvs[3] == Fraction(1, 2)
