@@ -28,7 +28,6 @@ from .minimality import (
 )
 from .periods import (
     DEFAULT_PRECISION_BITS,
-    LatticeRecognitionError,
     PeriodReport,
     PrecisionError,
     complex_agm,
@@ -66,7 +65,6 @@ __all__ = [
     "FILTERS",
     "FactorizationBudgetError",
     "Invariants",
-    "LatticeRecognitionError",
     "MinimalModelResult",
     "PeriodReport",
     "PrecisionError",

@@ -20,8 +20,7 @@ environment variable), --tolerance (default 1e-9), --format json|text,
 
 Exit codes: 0 success; 2 malformed input; 3 singular curve; 4 domain errors
 (non-square-free d, bad precision or tolerance); 5 numeric failure (AGM non-convergence,
-ambiguous lattice recognition, a factorization beyond its budget); 6 internal
-consistency failure; 1 unexpected.
+a factorization beyond its budget); 6 internal consistency failure; 1 unexpected.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from .exact import FactorizationBudgetError
 from .minimality import ConsistencyError, minimal_model_of_twist, minimize
 from .periods import (
     DEFAULT_PRECISION_BITS,
-    LatticeRecognitionError,
     PrecisionError,
     period_report,
 )
@@ -255,7 +253,6 @@ _EXIT_CODES = (
     (ParseError, 2),
     (SingularCurveError, 3),
     (json.JSONDecodeError, 2),
-    (LatticeRecognitionError, 5),
     (PrecisionError, 5),
     (FactorizationBudgetError, 5),
     (ConsistencyError, 6),

@@ -92,7 +92,7 @@ class FactorizationBudgetError(ArithmeticError):
 
 def is_prime(n: int) -> bool:
     """Miller-Rabin primality test, deterministic below ~3.3e24."""
-    n = int(n)
+    n = operator.index(n)
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -216,7 +216,7 @@ def factorize(n: int) -> dict[int, int]:
 def vp(x: Union[int, Fraction], p: int) -> ExtendedValuation:
     """The p-adic valuation of a rational x; INFINITY for x = 0.
 
-    Raises ValueError unless p is prime.
+    Raises TypeError unless p is an int, ValueError unless it is prime.
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")

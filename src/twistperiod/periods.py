@@ -22,11 +22,16 @@ at every step:
 
 In both cases omega_real is the least positive real period, and the integral
 of |dx / (2y + a1*x + a3)| over the full real locus is c_inf * omega_real
-with c_inf = 2 when delta > 0 (two components) and 1 otherwise.
+with c_inf = 2 when delta > 0 (two components) and 1 otherwise. The basis
+shape is fixed by the sign of delta (Cohen, A Course in Computational
+Algebraic Number Theory, Alg. 7.4.7), so the imaginary period Omega^- = i*nu
+and its coefficients (k1, k2) are read off that sign, not recognized
+numerically.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,19 +44,14 @@ DEFAULT_PRECISION_BITS = 128
 MIN_PRECISION_BITS = 64
 GUARD_BITS = 32
 _AGM_MAX_ITERATIONS = 300
-_RECOGNITION_DENOMINATOR_BOUND = 10**4
 
 
 class PrecisionError(ArithmeticError):
     """An iteration failed to converge within its budget."""
 
 
-class LatticeRecognitionError(ArithmeticError):
-    """The ratio Re(omega_complex)/omega_real is not recognizably rational."""
-
-
 def _check_precision(precision_bits: int) -> int:
-    precision_bits = int(precision_bits)
+    precision_bits = operator.index(precision_bits)
     if precision_bits < MIN_PRECISION_BITS:
         raise ValueError(
             f"precision_bits must be >= {MIN_PRECISION_BITS}, got {precision_bits}"
@@ -75,9 +75,10 @@ def _nstr(x) -> str:
 class PeriodLattice:
     """A basis (omega_real, omega_complex) of the period lattice of a model.
 
-    omega_real is the least positive real period; Im(omega_complex) != 0, and
-    2*Re(omega_complex)/omega_real is an integer (0 for delta > 0, -1 for
-    delta < 0).
+    omega_real is the least positive real period. omega_complex is i*nu, its
+    real part exactly 0, for a rectangular lattice (delta > 0), and
+    (-omega_real + i*nu)/2 otherwise; i*nu generates the purely imaginary
+    periods.
     """
 
     omega_real: mpf
@@ -223,57 +224,25 @@ def real_period(
     return raw_real_period(minimize(m).minimal, precision_bits)
 
 
-def _recognize_ratio(rho: mpf, precision_bits: int) -> Fraction:
-    sign, man, exp, _ = rho._mpf_
-    if man == 0:
-        if rho == 0:
-            return Fraction(0)
-        raise LatticeRecognitionError("period ratio is not finite")
-    value = Fraction(int(man)) * Fraction(2) ** exp
-    if sign:
-        value = -value
-    guess = value.limit_denominator(_RECOGNITION_DENOMINATOR_BOUND)
-    if abs(value - guess) > Fraction(2) ** (16 - precision_bits):
-        raise LatticeRecognitionError(
-            f"ambiguous lattice recognition: ratio {mp.nstr(rho, 20)} has no "
-            f"rational approximation with denominator <= "
-            f"{_RECOGNITION_DENOMINATOR_BOUND} within tolerance"
-        )
-    return guess
-
-
 def imaginary_period(
     m: WeierstrassModel, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> tuple[mpc, int, int]:
     """(Omega^-, k1, k2): the generator of the purely imaginary periods.
 
-    From a lattice basis of the minimal model, the ratio
-    rho = Re(omega_complex)/omega_real is recognized as a rational k2/k1 in
-    lowest terms with k1 > 0 (continued-fraction recognition, denominator
-    bound 10^4). Then Omega^- = k1*omega_complex - k2*omega_real, whose real
-    residue (below tolerance by construction) is zeroed; the sign is
-    normalized so Im(Omega^-) > 0.
+    Omega^- = k1*omega_complex - k2*omega_real for the lattice basis of the
+    minimal model, with Im(Omega^-) > 0. The basis shape gives (k1, k2):
+    (1, 0) for a rectangular lattice (delta > 0), where omega_complex is
+    itself purely imaginary, and (2, -1) otherwise.
     """
     return _imaginary_generator(lattice_periods(minimize(m).minimal, precision_bits))
 
 
 def _imaginary_generator(lattice: PeriodLattice) -> tuple[mpc, int, int]:
-    """(Omega^-, k1, k2) of a lattice basis, as imaginary_period describes."""
-    precision_bits = lattice.precision_bits
-    with mp.workprec(precision_bits + GUARD_BITS):
-        rho = mp.re(lattice.omega_complex) / lattice.omega_real
-        ratio = _recognize_ratio(rho, precision_bits)
-        k1, k2 = ratio.denominator, ratio.numerator
-        omega_minus = k1 * lattice.omega_complex - k2 * lattice.omega_real
-        residue = abs(mp.re(omega_minus))
-        if residue > abs(omega_minus) * mpf(2) ** (16 - precision_bits):
-            raise LatticeRecognitionError(
-                "recognized combination is not purely imaginary"
-            )
-        imag = abs(mp.im(omega_minus))
-        if imag == 0:
-            raise LatticeRecognitionError("imaginary period collapsed to zero")
-        return mpc(0, imag), k1, k2
+    """(Omega^-, k1, k2) of a lattice basis, as imaginary_period describes;
+    lattice_periods sets Re(omega_complex) to exactly 0 only when delta > 0."""
+    k1, k2 = (1, 0) if mp.re(lattice.omega_complex) == 0 else (2, -1)
+    with mp.workprec(lattice.precision_bits + GUARD_BITS):
+        return mpc(0, k1 * mp.im(lattice.omega_complex)), k1, k2
 
 
 def period_report(

@@ -277,8 +277,8 @@ def scan(
 
     `filter` is a name in FILTERS. An unknown filter, a precision below the
     minimum, a tolerance that is not positive or two sinks raise ValueError,
-    and a d that is not an integer TypeError, before the results file is
-    read or opened.
+    and a d or a precision that is not an integer TypeError, before the
+    results file is read or opened.
     """
     try:
         filter_fn = FILTERS[filter]

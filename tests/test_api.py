@@ -23,7 +23,6 @@ PUBLIC_API = [
     "FILTERS",
     "FactorizationBudgetError",
     "Invariants",
-    "LatticeRecognitionError",
     "MinimalModelResult",
     "PeriodReport",
     "PrecisionError",
@@ -77,7 +76,7 @@ def _resolve(owner, dotted: str):
 
 
 def test_public_api_is_pinned():
-    assert len(PUBLIC_API) == 38
+    assert len(PUBLIC_API) == 37
     assert sorted(twistperiod.__all__) == PUBLIC_API
     for name in PUBLIC_API:
         assert getattr(twistperiod, name) is not None, name

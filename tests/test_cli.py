@@ -19,6 +19,7 @@ import twistperiod
 from twistperiod import minimality
 from twistperiod.cli import main
 from twistperiod.periods import real_period
+from twistperiod.verification import iter_curve_file
 
 CURVE_A_ARG = json.dumps([int(a) for a in CURVE_A.ainvs])
 CURVE_B_ARG = json.dumps([int(a) for a in CURVE_B.ainvs])
@@ -287,6 +288,42 @@ def test_scan_records_match_golden_file(capsys, tmp_path):
         "seconds", "pairs_per_s",
     ]
     assert [value for _, value in summary[1:5]] == ["114", "77", "0", "37"]
+
+
+# tests/data/golden_periods.jsonl holds one line per (curve, precision) for
+# every parseable curve of golden_curves.jsonl and the two Delta > 0 curves
+# below, at 128 and 512 bits: the `--format json periods` output, and the
+# utilde, lhs, rhs and passed fields of `verify` for each d in GOLDEN_PERIOD_TWISTS.
+# abs_rel_error is left out: its last digits are rounding noise. Regenerate
+# with `golden_period_records(run)` and `run` calling main on --format json.
+GOLDEN_PERIOD_CURVES = ([-1, 0], [0, 0, 1, -1, 0])
+GOLDEN_PERIOD_TWISTS = ("-1", "-7", "5")
+GOLDEN_VERIFY_FIELDS = ("utilde", "lhs", "rhs", "passed")
+
+
+def golden_period_records(run) -> list[dict]:
+    parsed = iter_curve_file(os.path.join(DATA, "golden_curves.jsonl"))
+    curves = [[str(a) for a in entry["model"].ainvs] for entry in parsed
+              if "model" in entry]
+    records = []
+    for curve in curves + list(GOLDEN_PERIOD_CURVES):
+        model = json.dumps(curve)
+        for bits in ("128", "512"):
+            verify = {}
+            for d in GOLDEN_PERIOD_TWISTS:
+                data = run("--precision-bits", bits, "verify", model, d)
+                verify[d] = {key: data[key] for key in GOLDEN_VERIFY_FIELDS}
+            records.append({
+                "periods": run("--precision-bits", bits, "periods", model),
+                "verify": verify,
+            })
+    return records
+
+
+def test_periods_and_verify_match_golden_file(capsys):
+    with open(os.path.join(DATA, "golden_periods.jsonl"), encoding="utf-8") as handle:
+        golden = [json.loads(line) for line in handle]
+    assert golden_period_records(lambda *argv: run_json(capsys, *argv)) == golden
 
 
 @pytest.mark.parametrize(

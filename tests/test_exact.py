@@ -203,7 +203,13 @@ def test_is_square_free():
         is_square_free(0)
 
 
-@pytest.mark.parametrize("function", [factorize, is_square_free, odd_prime_divisors])
+def vp_of_12(p):
+    return vp(12, p)
+
+
+@pytest.mark.parametrize(
+    "function", [factorize, is_square_free, odd_prime_divisors, is_prime, vp_of_12]
+)
 def test_non_integer_arguments_are_type_errors(function):
     # int() would read 5.5 as 5; Fraction(10, 2) is not an int either
     for bad in (5.5, Fraction(10, 2), "5"):

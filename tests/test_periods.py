@@ -1,7 +1,6 @@
 """Period lattices via the arithmetic-geometric mean."""
 
 import random
-from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -21,9 +20,8 @@ from helpers import (
     random_transformation,
 )
 from quadrature_oracle import quadrature_real_period
+from twistperiod.minimality import minimal_model_of_twist
 from twistperiod.periods import (
-    LatticeRecognitionError,
-    _recognize_ratio,
     complex_agm,
     imaginary_period,
     lattice_periods,
@@ -36,6 +34,7 @@ from twistperiod.twisting import twist
 from twistperiod.weierstrass import WeierstrassModel
 
 LEMNISCATE_DIGITS = "2.6220575542921198104648395898911194136827549514316"
+SQUARE = WeierstrassModel.from_ainvs([-1, 0])  # y^2 = x^3 - x, delta > 0
 
 
 def lemniscate() -> mp.mpf:
@@ -94,7 +93,7 @@ def test_real_components():
 
 
 def test_square_lattice_curve():
-    m = WeierstrassModel.from_ainvs([-1, 0])  # y^2 = x^3 - x
+    m = SQUARE
     with mp.workprec(160):
         reference = lemniscate()
         lattice = lattice_periods(m, 128)
@@ -133,16 +132,14 @@ def test_recognition_constants_by_discriminant_sign():
             assert (k1, k2) == (2, -1)
 
 
-def test_recognize_ratio():
-    assert _recognize_ratio(mp.mpf("-0.5"), 128) == Fraction(-1, 2)
-    assert _recognize_ratio(mp.mpf(0), 128) == 0
-    with pytest.raises(LatticeRecognitionError):
-        _recognize_ratio(mp.mpf("0.12345678912345"), 128)
-
-
 def test_precision_validation():
     with pytest.raises(ValueError):
         lattice_periods(CURVE_A, 32)
+    # int() would read "128" as 128 and 128.9 as 128
+    with pytest.raises(TypeError):
+        lattice_periods(CURVE_A, "128")
+    with pytest.raises(TypeError):
+        real_period(CURVE_A, 128.9)
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +177,19 @@ def test_precision_scaling_consistency():
 
 
 def test_real_period_keeps_requested_precision():
-    # Called at mpmath's default 53-bit context, as a library user would.
-    omega = real_period(CURVE_A, 512)
-    report = period_report(CURVE_A, 512)
-    with mp.workprec(1100):
-        reference = real_period(CURVE_A, 1024)
-        for value in (omega, report.omega):
-            assert abs(value - reference) <= abs(reference) * mp.mpf(2) ** -500
+    # Called at mpmath's default 53-bit context, as a library user would;
+    # CURVE_A has delta < 0, SQUARE delta > 0.
+    for m in (CURVE_A, SQUARE):
+        omega = real_period(m, 512)
+        omega_minus = imaginary_period(m, 512)[0]
+        report = period_report(m, 512)
+        with mp.workprec(1100):
+            reference = real_period(m, 1024)
+            for value in (omega, report.omega):
+                assert abs(value - reference) <= abs(reference) * mp.mpf(2) ** -500
+            reference = imaginary_period(m, 1024)[0]
+            for value in (omega_minus, report.omega_minus):
+                assert abs(value - reference) <= abs(reference) * mp.mpf(2) ** -500
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +203,29 @@ def test_agm_periods_match_quadrature_pinned():
         agm = raw_real_period(m, 128)
         reference = quadrature_real_period(m, 128)
         assert _rel_error(agm, reference) < 1e-12
+
+
+def test_imaginary_period_matches_quadrature_through_twist_by_minus_one():
+    # Omega(E^-1) = utilde * c_inf(E^-1) * |Omega^-(E)| for the minimal model
+    # E^-1 of the twist by -1, whose real period the quadrature oracle
+    # computes without the lattice code.
+    rng = random.Random(59)
+    by_sign = {True: [], False: []}
+    while min(len(models) for models in by_sign.values()) < 10:
+        m = random_model(rng, bound=9)
+        by_sign[m.delta > 0].append(m)
+    models = [CURVE_A, CURVE_B, SQUARE] + by_sign[True][:10] + by_sign[False][:10]
+    for m in models:
+        result, report = minimal_model_of_twist(m, -1)
+        twisted = result.minimal
+        omega_minus = imaginary_period(m, 128)[0]
+        with mp.workprec(160):
+            omega_minus = abs(mp.im(omega_minus))
+            utilde = mp.mpf(report.utilde.numerator) / report.utilde.denominator
+            reference = quadrature_real_period(twisted, 128) / (
+                utilde * real_components(twisted)
+            )
+            assert abs(omega_minus - reference) <= reference * mp.mpf(2) ** -120, m
 
 
 @given(integral_models(bound=10))

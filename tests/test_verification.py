@@ -325,6 +325,18 @@ def test_non_integer_twist_parameter_is_a_type_error(tmp_path):
     assert results.read_text(encoding="utf-8") == '{"label": "partial'
 
 
+def test_non_integer_precision_is_a_type_error(tmp_path):
+    # int() would read 128.9 as 128
+    with pytest.raises(TypeError):
+        verify_twist_period_relation(CURVE_A, 5, precision_bits=128.9)
+    results = tmp_path / "results.jsonl"
+    results.write_text('{"label": "partial', encoding="utf-8")
+    with pytest.raises(TypeError):
+        scan([("alpha", CURVE_A)], [5], filter="none", precision_bits="128",
+             results_path=str(results))
+    assert results.read_text(encoding="utf-8") == '{"label": "partial'
+
+
 def test_scan_rejects_two_sinks_and_keeps_results(tmp_path):
     results = tmp_path / "results.jsonl"
     results.write_bytes(b'{"label": "partial')
