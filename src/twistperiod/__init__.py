@@ -22,7 +22,6 @@ from .minimality import (
     UTildeResult,
     compute_utilde,
     minimal_model_of_twist,
-    minimal_twist_discriminant_valuation,
     minimize,
     utilde_factor_at,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "iter_curve_file",
     "lattice_periods",
     "minimal_model_of_twist",
-    "minimal_twist_discriminant_valuation",
     "minimize",
     "odd_prime_divisors",
     "padic_signature",

@@ -56,7 +56,7 @@ def _parse_model(text: str) -> WeierstrassModel:
         return WeierstrassModel.from_json(text)
     except SingularCurveError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ParseError(str(exc)) from exc
 
 

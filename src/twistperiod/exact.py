@@ -1,10 +1,10 @@
 """Exact arithmetic helpers.
 
-p-adic valuations on rationals (with a proper infinity for the valuation of
-zero), square-free tests, and integer factorization sized for twist
-parameters: trial division up to 4096, then Brent's variant of Pollard rho on
-the cofactor with a fixed iteration budget, and a Miller-Rabin primality test
-(deterministic below 3.3e24) that certifies every factor.
+p-adic valuations on rationals (math.inf for the valuation of zero), square-free
+tests, and integer factorization sized for twist parameters: trial division up
+to 4096, then Brent's variant of Pollard rho on the cofactor with a fixed
+iteration budget, and a Miller-Rabin primality test (deterministic below
+3.3e24) that certifies every factor.
 """
 
 from __future__ import annotations
@@ -27,63 +27,13 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
-class PadicInfinity:
-    """The valuation of zero: larger than every integer, absorbing under +.
-
-    A single instance, ``INFINITY``, is used everywhere. min()/max() and
-    comparisons against integers work in both directions, and n * INFINITY
-    (n a positive integer) stays INFINITY so expressions like 3*v(c4) are
-    total.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITY"
-
-    def __eq__(self, other):
-        return isinstance(other, PadicInfinity)
-
-    def __hash__(self):
-        return hash("padic-infinity")
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, PadicInfinity)
-
-    def __gt__(self, other):
-        return not isinstance(other, PadicInfinity)
-
-    def __ge__(self, other):
-        return True
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, PadicInfinity) or other > 0:
-            return self
-        raise ValueError("cannot multiply INFINITY by a non-positive factor")
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        raise ValueError("negative infinity does not occur as a valuation here")
-
-
-INFINITY = PadicInfinity()
+#: The valuation of zero: larger than every integer, so min(), max() and
+#: comparisons with integers need no special case, and a positive multiple
+#: such as 3 * v(c4) stays INFINITY.
+INFINITY = math.inf
 
 #: A p-adic valuation: an integer, or INFINITY for the valuation of zero.
-ExtendedValuation = Union[int, PadicInfinity]
+ExtendedValuation = Union[int, float]
 
 
 class FactorizationBudgetError(ArithmeticError):

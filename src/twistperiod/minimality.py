@@ -10,12 +10,12 @@ canonical reduced model (a1, a3 in {0,1}, a2 in {-1,0,1}) from the reduced
 
 The twist-specific route is a prime-by-prime case table: starting from a
 MINIMAL model m and a square-free d, the p-adic signature
-(v_p(c4), v_p(c6), v_p(delta)) of m determines, for every prime p, both the
-p-part u_p of the scaling factor taking twist(m, d) to its minimal model and
-the discriminant valuation of that minimal model. The product
-utilde = prod_p u_p is a positive rational with 2*utilde integral, and the
-minimizing coordinate change has scale exactly utilde. minimal_model_of_twist
-runs both routes and cross-checks them.
+(v_p(c4), v_p(c6), v_p(delta)) of m determines, for every prime p, the
+p-part u_p of the scaling factor taking twist(m, d) to its minimal model.
+The product utilde = prod_p u_p is a positive rational with 2*utilde
+integral, and the minimizing coordinate change has scale exactly utilde, so
+the minimal twist has v_p(delta) + 6*v_p(d) - 12*v_p(u_p) as its discriminant
+valuation. minimal_model_of_twist runs both routes and cross-checks them.
 
 Case labels: for odd p | d the gauge lambda = min{3*v_p(c4), 2*v_p(c6),
 v_p(delta)} decides between "1a" (u_p = 1) and "1b" (u_p = p); odd p not
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .exact import INFINITY, ExtendedValuation, factorize, odd_prime_divisors, vp
+from .exact import ExtendedValuation, factorize, odd_prime_divisors, vp
 from .twisting import twist
 from .weierstrass import (
     PAdicSignature,
@@ -116,18 +116,20 @@ _TWO = Fraction(2)
 _FOUR = Fraction(4)
 
 
-def _classify(m: WeierstrassModel, d: int, p: int) -> tuple[str, Fraction, int]:
-    """(case label, u_p, v_p(delta) shift) for the minimal twist of m by d.
+def utilde_factor_at(m: WeierstrassModel, d: int, p: int) -> tuple[Fraction, str]:
+    """(u_p, case label) at prime p for the minimal twist of the minimal
+    model m by square-free d.
 
     m must be minimal for the answer to be meaningful. Exactly one label
-    applies to every (m, d, p). For odd p | d, "1b" needs a gauge of at least
-    6, hence p | c4 and p | c6: an integral m with p not dividing both is
-    "1a" at once, and only the primes of gcd(c4, c6) take valuations.
+    applies to every (m, d, p). Cheap per call: the 2-adic signature is kept
+    on m, and for odd p | d, "1b" needs a gauge of at least 6, hence p | c4
+    and p | c6: an integral m with p not dividing both is "1a" at once, and
+    only the primes of gcd(c4, c6) take valuations.
     """
     if p == 2:
         return _classify_at_two(m, d)
     if d % p:
-        return "odd-p-not-dividing-d", _ONE, 0
+        return _ONE, "odd-p-not-dividing-d"
     inv = m.invariants
     c4, c6 = inv.c4, inv.c6
     integral = c4.denominator == 1 == c6.denominator
@@ -136,8 +138,8 @@ def _classify(m: WeierstrassModel, d: int, p: int) -> tuple[str, Fraction, int]:
         or signature_gauge(m, p) < 6
         or (p == 3 and vp(c6, p) == 5)
     ):
-        return "1a", _ONE, 6
-    return "1b", Fraction(p), -6
+        return _ONE, "1a"
+    return Fraction(p), "1b"
 
 
 def _signature_at_two(m: WeierstrassModel) -> PAdicSignature:
@@ -150,51 +152,32 @@ def _signature_at_two(m: WeierstrassModel) -> PAdicSignature:
     return sig
 
 
-def _classify_at_two(m: WeierstrassModel, d: int) -> tuple[str, Fraction, int]:
+def _classify_at_two(m: WeierstrassModel, d: int) -> tuple[Fraction, str]:
     a, b, c = _signature_at_two(m)
     c6 = m.invariants.c6
     if d % 4 == 1:
-        return "2a", _ONE, 0
+        return _ONE, "2a"
     if d % 4 == 3:
         if (a == 0 and b == 0) or (b == 3 and c == 0 and a >= 4):
-            return "2b-i", _HALF, 12
+            return _HALF, "2b-i"
         if (a == 4 and b == 6 and c >= 12 and _shifted_residue(c6, 6, d) == 3) or (
             b == 9 and c == 12 and a >= 8 and _shifted_residue(c6, 9, d) == 1
         ):
-            return "2b-ii", _TWO, -12
-        return "2b-iii", _ONE, 0
+            return _TWO, "2b-ii"
+        return _ONE, "2b-iii"
     # d even: d = 2w with w odd since d is square-free.
     w = d // 2
     if a == 0 and b == 0:
-        return "2c-i", _HALF, 18
+        return _HALF, "2c-i"
     if a == 6 and b == 9 and c >= 18 and _shifted_residue(c6, 9, w) == 3:
-        return "2c-ii", _FOUR, -18
+        return _FOUR, "2c-ii"
     if (
         a in (4, 5)
         or b in (3, 5, 7)
         or (b == 6 and c == 6 and a >= 6 and _shifted_residue(c6, 6, w) == 3)
     ):
-        return "2c-iii", _ONE, 6
-    return "2c-iv", _TWO, -6
-
-
-def utilde_factor_at(m: WeierstrassModel, d: int, p: int) -> tuple[Fraction, str]:
-    """(u_p, case label) at prime p for the minimal twist of the minimal
-    model m by square-free d.
-
-    Cheap per call: the 2-adic signature is kept on m, and an odd p | d that
-    does not divide both c4 and c6 is "1a" without any valuation."""
-    label, u_p, _ = _classify(m, d, p)
-    return u_p, label
-
-
-def minimal_twist_discriminant_valuation(
-    m: WeierstrassModel, d: int, p: int
-) -> int:
-    """Predicted v_p(delta) of the minimal model of twist(m, d), for minimal m."""
-    _, _, shift = _classify(m, d, p)
-    v = vp(m.invariants.delta, p)
-    return v + shift
+        return _ONE, "2c-iii"
+    return _TWO, "2c-iv"
 
 
 def compute_utilde(m: WeierstrassModel, d: int) -> UTildeResult:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import operator
 import os
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Optional, TextIO
@@ -189,15 +190,17 @@ def iter_curve_file(path: str) -> Iterable[dict]:
                 yield {"label": label, "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _existing_keys(path: str) -> Counter:
-    """How many complete records a results file holds for each pair key:
-    (curve, d) with curve the normalized a-invariants, or (label, None) for a
-    line that did not parse. A partial last line, left by a crash in the
-    middle of a write, is cut off, so that it cannot absorb the next record
-    appended."""
-    keys: Counter = Counter()
+def _existing_keys(path: str, slots: dict[int, int]) -> tuple[dict, Counter]:
+    """How many complete records a results file holds for each pair of this
+    scan: for each curve (its normalized a-invariants), an array of counts
+    indexed by slots[d], records of a d outside slots being left out; and for
+    each label, the lines that did not parse. A partial last line, left by a
+    crash in the middle of a write, is cut off, so that it cannot absorb the
+    next record appended."""
+    curves: dict = {}
+    labels: Counter = Counter()
     if not os.path.exists(path):
-        return keys
+        return curves, labels
     with open(path, "rb+") as handle:
         for line in handle:
             if not line.endswith(b"\n"):
@@ -205,16 +208,23 @@ def _existing_keys(path: str) -> Counter:
                 break
             try:
                 record = json.loads(line)
-                if "curve" in record:
-                    keys[tuple(record["curve"]), record["d"]] += 1
-                else:
-                    keys[record["label"], None] += 1
+                if "curve" not in record:
+                    labels[record["label"]] += 1
+                    continue
+                slot = slots.get(record["d"])
+                if slot is None:
+                    continue
+                key = tuple(record["curve"])
+                counts = curves.get(key)
+                if counts is None:
+                    counts = curves[key] = array("L", [0]) * len(slots)
+                counts[slot] += 1
             except (json.JSONDecodeError, KeyError, TypeError):
                 continue
-    return keys
+    return curves, labels
 
 
-def _skip(done: Counter, key: tuple) -> bool:
+def _skip(done, key) -> bool:
     """True, using up one of them, when done still holds a record for key."""
     if done[key] <= 0:
         return False
@@ -290,8 +300,10 @@ def scan(
     if results_path is not None and stream is not None:
         raise ValueError("scan writes to results_path or to stream, not both")
     d_list = [operator.index(d) for d in d_values]
-    existing = _existing_keys(results_path) if results_path else Counter()
-    done = existing if resume else Counter()
+    slots = {d: i for i, d in enumerate(dict.fromkeys(d_list))}
+    d_slots = [(d, slots[d]) for d in d_list]
+    existing = _existing_keys(results_path, slots) if results_path else ({}, Counter())
+    done_curves, done_labels = existing if resume else ({}, Counter())
     odd_primes: dict = {}
     records = errors = failures = 0
     out = stream
@@ -301,7 +313,7 @@ def scan(
         for entry in _normalize_entries(curves):
             label = entry["label"]
             if "error" in entry:
-                if not _skip(done, (label, None)):
+                if not _skip(done_labels, label):
                     _emit({"label": label, "d": None, "error": entry["error"]}, out)
                     records += 1
                     errors += 1
@@ -310,8 +322,9 @@ def scan(
             curve = [str(a) for a in model.ainvs]
             curve_key = tuple(curve)
             minimal: dict = {}
-            for d in d_list:
-                if _skip(done, (curve_key, d)):
+            done = done_curves.get(curve_key)
+            for d, slot in d_slots:
+                if done is not None and _skip(done, slot):
                     continue
                 record = {"label": label, "curve": curve, "d": d}
                 try:

@@ -121,9 +121,6 @@ class WeierstrassModel:
     def j(self) -> Fraction:
         return self.invariants.j
 
-    def is_integral(self) -> bool:
-        return all(a.denominator == 1 for a in self.ainvs)
-
     @classmethod
     def from_ainvs(
         cls, ainvs: list[Rational] | tuple[Rational, ...]
@@ -152,9 +149,6 @@ class WeierstrassModel:
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid model JSON: {exc}") from exc
         return cls.from_ainvs(data)
-
-    def to_json(self) -> str:
-        return json.dumps([str(a) for a in self.ainvs])
 
     def __str__(self) -> str:
         return f"[{', '.join(str(a) for a in self.ainvs)}]"
@@ -202,26 +196,5 @@ class Transformation:
         na6 = (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / u**6
         return WeierstrassModel(na1, na2, na3, na4, na6)
 
-    def compose(self, other: "Transformation") -> "Transformation":
-        """The single transformation equivalent to applying self, then other."""
-        u1, r1, s1, t1 = self.u, self.r, self.s, self.t
-        u2, r2, s2, t2 = other.u, other.r, other.s, other.t
-        return Transformation(
-            u1 * u2,
-            u1 * u1 * r2 + r1,
-            u1 * s2 + s1,
-            u1**3 * t2 + u1 * u1 * s1 * r2 + t1,
-        )
-
-    def invert(self) -> "Transformation":
-        u, r, s, t = self.u, self.r, self.s, self.t
-        return Transformation(1 / u, -r / u**2, -s / u, (r * s - t) / u**3)
-
-    def is_identity(self) -> bool:
-        return self == IDENTITY
-
     def to_json_dict(self) -> dict:
         return {"u": str(self.u), "r": str(self.r), "s": str(self.s), "t": str(self.t)}
-
-
-IDENTITY = Transformation(Fraction(1))

@@ -19,6 +19,8 @@ from twistperiod import (
     is_square_free,
     minimize,
     scan,
+    utilde_factor_at,
+    vp,
 )
 
 # Two small curves with known twists and periods, used as pinned fixtures
@@ -90,6 +92,41 @@ def scan_records(curves, d_values, **options) -> list[dict]:
         "errors": errors,
     }
     return records
+
+
+def is_integral(m: WeierstrassModel) -> bool:
+    return all(a.denominator == 1 for a in m.ainvs)
+
+
+def compose(first: Transformation, then: Transformation) -> Transformation:
+    """The single transformation equivalent to applying first, then then."""
+    u1, r1, s1, t1 = first.u, first.r, first.s, first.t
+    u2, r2, s2, t2 = then.u, then.r, then.s, then.t
+    return Transformation(
+        u1 * u2,
+        u1 * u1 * r2 + r1,
+        u1 * s2 + s1,
+        u1**3 * t2 + u1 * u1 * s1 * r2 + t1,
+    )
+
+
+def invert(transformation: Transformation) -> Transformation:
+    u, r, s, t = (
+        transformation.u, transformation.r, transformation.s, transformation.t
+    )
+    return Transformation(1 / u, -r / u**2, -s / u, (r * s - t) / u**3)
+
+
+def is_identity(t: Transformation) -> bool:
+    return t == Transformation(1)
+
+
+def minimal_twist_valuation(m: WeierstrassModel, d: int, p: int) -> int:
+    """v_p(delta) of the minimal model of twist(m, d), for minimal m, as the
+    per-prime table predicts it: the twist has discriminant d^6 * delta(m),
+    and minimizing it divides that by utilde^12, whose p-part is u_p^12."""
+    u_p, _ = utilde_factor_at(m, d, p)
+    return vp(m.delta, p) + 6 * vp(d, p) - 12 * vp(u_p, p)
 
 
 def random_model(rng: random.Random, bound: int = 20) -> WeierstrassModel:

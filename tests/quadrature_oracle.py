@@ -104,7 +104,7 @@ def exact_real_roots(model: WeierstrassModel, precision_bits: int) -> list[Fract
     times the initial bracket width.  Requires an integral model so that the
     critical-point separators can use integer square roots.
     """
-    if not model.is_integral():
+    if any(a.denominator != 1 for a in model.ainvs):
         raise ValueError("exact root isolation requires an integral model")
     inv = model.invariants
     g, g_derivative, bound = _cubic(model)

@@ -33,6 +33,10 @@ from helpers import (
     UTILDE_A,
     UTILDE_B,
     UTILDE_C,
+    compose,
+    invert,
+    is_identity,
+    minimal_twist_valuation,
     random_minimal_model,
     random_model,
     random_square_free,
@@ -43,7 +47,6 @@ from twistperiod.exact import odd_prime_divisors, vp
 from twistperiod.minimality import (
     compute_utilde,
     minimal_model_of_twist,
-    minimal_twist_discriminant_valuation,
     minimize,
 )
 from twistperiod.periods import (
@@ -168,7 +171,7 @@ def test_acceptance_6_randomized_table_against_minimization(capsys):
                 break
             # per-prime valuation predictions against the actual minimization
             for p in [2, *odd_prime_divisors(d)]:
-                predicted = minimal_twist_discriminant_valuation(m, d, p)
+                predicted = minimal_twist_valuation(m, d, p)
                 if predicted != vp(result.minimal.delta, p):
                     ok, detail = False, f"valuation at p={p}, {m.ainvs}, d={d}"
                     break
@@ -244,9 +247,9 @@ def test_acceptance_8_transformation_algebra(capsys):
             image.c4 == m.c4 / u**4
             and image.c6 == m.c6 / u**6
             and image.delta == m.delta / u**12
-            and t1.compose(t2).apply(m) == t2.apply(image)
-            and t1.compose(t1.invert()).is_identity()
-            and t1.invert().apply(image) == m
+            and compose(t1, t2).apply(m) == t2.apply(image)
+            and is_identity(compose(t1, invert(t1)))
+            and invert(t1).apply(image) == m
         ):
             ok = False
             break

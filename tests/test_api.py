@@ -40,7 +40,6 @@ PUBLIC_API = [
     "iter_curve_file",
     "lattice_periods",
     "minimal_model_of_twist",
-    "minimal_twist_discriminant_valuation",
     "minimize",
     "odd_prime_divisors",
     "padic_signature",
@@ -76,7 +75,7 @@ def _resolve(owner, dotted: str):
 
 
 def test_public_api_is_pinned():
-    assert len(PUBLIC_API) == 37
+    assert len(PUBLIC_API) == 36
     assert sorted(twistperiod.__all__) == PUBLIC_API
     for name in PUBLIC_API:
         assert getattr(twistperiod, name) is not None, name

@@ -149,6 +149,10 @@ def test_exit_code_parse_error(capsys):
     code, _, err = run_cli(capsys, "invariants", "[true, 0, 0, 1, 1]")
     assert code == 2
     assert json.loads(err)["error"] == "ParseError"
+    # a zero denominator is malformed input, not an unexpected failure
+    code, _, err = run_cli(capsys, "invariants", '["1/0", 0, 0, 1, 1]')
+    assert code == 2
+    assert json.loads(err)["error"] == "ParseError"
 
 
 def test_exit_code_singular_curve(capsys):

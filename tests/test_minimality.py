@@ -21,17 +21,18 @@ from helpers import (
     UTILDE_B,
     UTILDE_C,
     integral_models,
+    is_identity,
+    is_integral,
+    minimal_twist_valuation,
     random_minimal_model,
     random_square_free,
     square_free_ints,
 )
-from twistperiod.exact import INFINITY, vp
+from twistperiod.exact import vp
 from twistperiod.minimality import (
     CASE_LABELS,
-    _classify,
     compute_utilde,
     minimal_model_of_twist,
-    minimal_twist_discriminant_valuation,
     minimize,
     signature_gauge,
     utilde_factor_at,
@@ -104,7 +105,7 @@ def test_every_branch_is_reachable_and_matches_table():
         if expected_factor is None:
             expected_factor = Fraction(p)
         assert factor == expected_factor
-        predicted = minimal_twist_discriminant_valuation(m, d, p)
+        predicted = minimal_twist_valuation(m, d, p)
         assert predicted == vp(m.delta, p) + expected_shift
         # and the prediction is honest: compare against actual minimization
         actual = vp(minimize(twist(m, d)).minimal.delta, p)
@@ -116,9 +117,7 @@ def test_every_branch_is_reachable_and_matches_table():
 def test_odd_prime_not_dividing_d_is_inert():
     factor, label = utilde_factor_at(CURVE_A, TWIST_A_D, 3)
     assert (factor, label) == (1, "odd-p-not-dividing-d")
-    assert minimal_twist_discriminant_valuation(CURVE_A, TWIST_A_D, 3) == vp(
-        CURVE_A.delta, 3
-    )
+    assert minimal_twist_valuation(CURVE_A, TWIST_A_D, 3) == vp(CURVE_A.delta, 3)
 
 
 def test_pinned_utilde_values():
@@ -160,7 +159,7 @@ def test_known_minimal_models_are_fixed_points():
         m = WeierstrassModel.from_ainvs(coefficients)
         result = minimize(m)
         assert result.minimal == m
-        assert result.map.is_identity()
+        assert is_identity(result.map)
 
 
 def test_minimize_undoes_blowup():
@@ -176,7 +175,7 @@ def test_minimize_undoes_blowup():
 def test_minimize_handles_rational_models():
     m = WeierstrassModel(0, 0, 0, Fraction(-1, 16), Fraction(1, 64))
     result = minimize(m)
-    assert result.minimal.is_integral()
+    assert is_integral(result.minimal)
     assert result.map.apply(m) == result.minimal
     assert result.map.u > 0
 
@@ -191,7 +190,7 @@ def test_pinned_twist_minimizations():
 def test_minimize_properties(m):
     result = minimize(m)
     minimal = result.minimal
-    assert minimal.is_integral()
+    assert is_integral(minimal)
     assert result.map.u > 0
     assert result.map.apply(m) == minimal
     # discriminant drops by a perfect twelfth power
@@ -201,7 +200,7 @@ def test_minimize_properties(m):
     # idempotence
     again = minimize(minimal)
     assert again.minimal == minimal
-    assert again.map.is_identity()
+    assert is_identity(again.map)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +255,7 @@ def test_randomized_valuation_predictions():
         d = random_square_free(rng)
         actual_minimal = minimize(twist(m, d)).minimal
         for p in [2, *odd_prime_divisors(d)]:
-            predicted = minimal_twist_discriminant_valuation(m, d, p)
+            predicted = minimal_twist_valuation(m, d, p)
             assert predicted == vp(actual_minimal.delta, p), (m.ainvs, d, p)
 
 
@@ -271,10 +270,10 @@ THREE_ADIC_EXCEPTIONS = [
 
 
 def _classify_by_gauge(m, d, p):
-    """_classify for odd p | d, always through signature_gauge."""
+    """utilde_factor_at for odd p | d, always through signature_gauge."""
     if signature_gauge(m, p) < 6 or (p == 3 and vp(m.c6, p) == 5):
-        return "1a", Fraction(1), 6
-    return "1b", Fraction(p), -6
+        return Fraction(1), "1a"
+    return Fraction(p), "1b"
 
 
 def _twisted_back(m, p):
@@ -298,7 +297,7 @@ def test_divisibility_shortcut_matches_signature_gauge(m, p, k, round_trip):
     if round_trip:
         mm = _twisted_back(mm, p)
     d = k if k % p == 0 else p * k
-    assert _classify(mm, d, p) == _classify_by_gauge(mm, d, p)
+    assert utilde_factor_at(mm, d, p) == _classify_by_gauge(mm, d, p)
 
 
 def test_divisibility_shortcut_reaches_every_odd_label():
@@ -307,13 +306,13 @@ def test_divisibility_shortcut_reaches_every_odd_label():
         m = WeierstrassModel.from_ainvs(coefficients)
         assert minimize(m).minimal == m
         assert vp(m.c6, 3) == 5 and signature_gauge(m, 3) >= 6
-        assert _classify(m, -3, 3) == ("1a", 1, 6)
+        assert utilde_factor_at(m, -3, 3) == (1, "1a")
         minimal_model_of_twist(m, -3)  # the table agrees with minimization
     for coefficients in KNOWN_MINIMAL:
         for p in (3, 5, 7):
             mm = _twisted_back(WeierstrassModel.from_ainvs(coefficients), p)
             for d in (p, -p, 2 * p):
-                label = _classify(mm, d, p)
-                assert label == _classify_by_gauge(mm, d, p)
-                labels.add(label[0])
+                factor, label = utilde_factor_at(mm, d, p)
+                assert (factor, label) == _classify_by_gauge(mm, d, p)
+                labels.add(label)
     assert labels == {"1a", "1b"}

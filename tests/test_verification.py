@@ -211,6 +211,25 @@ def test_scan_resume_skips_done_pairs(tmp_path):
     assert len(stored) == 6
 
 
+def test_scan_resume_counts_repeated_pairs(tmp_path):
+    results = tmp_path / "results.jsonl"
+    # one curve under two labels and d = 5 twice: the pair (CURVE_A, 5) four
+    # times, and (CURVE_A, 1) twice
+    first = scan_records(
+        [("a", CURVE_A), ("b", CURVE_A)], [5, 5, 1], filter="none",
+        results_path=str(results),
+    )
+    assert len(first) == 6
+    # six inputs of (CURVE_A, 5) and three of (CURVE_A, 1): only the ones
+    # the file does not hold yet are written
+    curves = [("a", CURVE_A), ("b", CURVE_A), ("c", CURVE_A)]
+    second = scan_records(curves, [5, 5, 1], filter="none", results_path=str(results))
+    assert [(r["label"], r["d"]) for r in second] == [("c", 5), ("c", 5), ("c", 1)]
+    # records of other twists count for nothing
+    third = scan_records(curves, [-1], filter="none", results_path=str(results))
+    assert [(r["label"], r["d"]) for r in third] == [("a", -1), ("b", -1), ("c", -1)]
+
+
 def test_scan_resume_drops_partial_last_line(tmp_path):
     results = tmp_path / "results.jsonl"
     curves = [("alpha", CURVE_A), ("beta", CURVE_B)]
@@ -367,12 +386,17 @@ def test_scan_returns_counts_of_the_records_it_wrote(tmp_path):
     assert results.read_bytes() == stored
 
 
-def test_scan_memory_does_not_grow_with_its_length():
+def _forty_curves_by_240_twists():
     rng = random.Random(40)
     curves = [(f"c{i}", random_model(rng)) for i in range(40)]
     square_free = (d for d in range(-200, 201) if d and is_square_free(d))
     twists = sorted(square_free, key=abs)[:240]
     assert len(twists) == 240
+    return curves, twists
+
+
+def test_scan_memory_does_not_grow_with_its_length():
+    curves, twists = _forty_curves_by_240_twists()
     with open(os.devnull, "w", encoding="utf-8") as sink:
         tracemalloc.start()
         try:
@@ -382,3 +406,17 @@ def test_scan_memory_does_not_grow_with_its_length():
             tracemalloc.stop()
     assert peak < 500_000
     assert counts["records"] == 40 * 240
+
+
+def test_scan_resume_memory_grows_with_curves_not_pairs(tmp_path):
+    curves, twists = _forty_curves_by_240_twists()
+    results = str(tmp_path / "results.jsonl")
+    scan(curves, twists, filter="none", results_path=results)
+    tracemalloc.start()
+    try:
+        counts = scan(curves, twists, filter="none", results_path=results)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+    assert counts["records"] == 0
