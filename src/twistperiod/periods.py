@@ -26,7 +26,9 @@ with c_inf = 2 when delta > 0 (two components) and 1 otherwise. The basis
 shape is fixed by the sign of delta (Cohen, A Course in Computational
 Algebraic Number Theory, Alg. 7.4.7), so the imaginary period Omega^- = i*nu
 and its coefficients (k1, k2) are read off that sign, not recognized
-numerically.
+numerically. Every public period function reads Omega and Omega^- off one
+lattice_periods basis through the same reader, for the model as given or
+for its minimal model.
 """
 
 from __future__ import annotations
@@ -203,17 +205,37 @@ def lattice_periods(
         )
 
 
+def _periods(m: WeierstrassModel, precision_bits: int) -> PeriodReport:
+    """Omega = c_inf*omega_real and Omega^- = i*k1*Im(omega_complex) of the
+    model m itself (no minimization), both from one lattice, with c_inf and
+    (k1, k2) read off the sign of delta."""
+    lattice = lattice_periods(m, precision_bits)
+    c_inf = real_components(m)
+    k1, k2 = (1, 0) if c_inf == 2 else (2, -1)
+    with mp.workprec(lattice.precision_bits + GUARD_BITS):
+        return PeriodReport(
+            omega=c_inf * lattice.omega_real,
+            omega_minus=mpc(0, k1 * mp.im(lattice.omega_complex)),
+            c_inf=c_inf,
+            k1=k1,
+            k2=k2,
+            precision_bits=lattice.precision_bits,
+        )
+
+
+def period_report(
+    m: WeierstrassModel, precision_bits: int = DEFAULT_PRECISION_BITS
+) -> PeriodReport:
+    """Real period, imaginary period and component count for one curve,
+    all from one lattice of its minimal model."""
+    return _periods(minimize(m).minimal, precision_bits)
+
+
 def raw_real_period(
     m: WeierstrassModel, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> mpf:
     """Integral of |dx/(2y + a1*x + a3)| over the real locus of m itself."""
-    return _real_locus_period(m, lattice_periods(m, precision_bits))
-
-
-def _real_locus_period(m: WeierstrassModel, lattice: PeriodLattice) -> mpf:
-    """c_inf(m) * omega_real, at the lattice's working precision."""
-    with mp.workprec(lattice.precision_bits + GUARD_BITS):
-        return real_components(m) * lattice.omega_real
+    return _periods(m, precision_bits).omega
 
 
 def real_period(
@@ -221,7 +243,7 @@ def real_period(
 ) -> mpf:
     """The real period Omega of the curve: c_inf times the least positive
     real period of a minimal model. Invariant under isomorphisms of m."""
-    return raw_real_period(minimize(m).minimal, precision_bits)
+    return period_report(m, precision_bits).omega
 
 
 def imaginary_period(
@@ -234,30 +256,5 @@ def imaginary_period(
     (1, 0) for a rectangular lattice (delta > 0), where omega_complex is
     itself purely imaginary, and (2, -1) otherwise.
     """
-    return _imaginary_generator(lattice_periods(minimize(m).minimal, precision_bits))
-
-
-def _imaginary_generator(lattice: PeriodLattice) -> tuple[mpc, int, int]:
-    """(Omega^-, k1, k2) of a lattice basis, as imaginary_period describes;
-    lattice_periods sets Re(omega_complex) to exactly 0 only when delta > 0."""
-    k1, k2 = (1, 0) if mp.re(lattice.omega_complex) == 0 else (2, -1)
-    with mp.workprec(lattice.precision_bits + GUARD_BITS):
-        return mpc(0, k1 * mp.im(lattice.omega_complex)), k1, k2
-
-
-def period_report(
-    m: WeierstrassModel, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> PeriodReport:
-    """Real period, imaginary period and component count for one curve,
-    all from one lattice of its minimal model."""
-    minimal = minimize(m).minimal
-    lattice = lattice_periods(minimal, precision_bits)
-    omega_minus, k1, k2 = _imaginary_generator(lattice)
-    return PeriodReport(
-        omega=_real_locus_period(minimal, lattice),
-        omega_minus=omega_minus,
-        c_inf=real_components(minimal),
-        k1=k1,
-        k2=k2,
-        precision_bits=lattice.precision_bits,
-    )
+    report = period_report(m, precision_bits)
+    return report.omega_minus, report.k1, report.k2

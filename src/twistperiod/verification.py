@@ -33,12 +33,10 @@ from .exact import odd_prime_divisors
 from .minimality import UTildeResult, _minimal_twist, _utilde_table, minimize
 from .periods import (
     DEFAULT_PRECISION_BITS,
+    PeriodReport,
     _check_precision,
-    _imaginary_generator,
     _nstr,
-    lattice_periods,
-    raw_real_period,
-    real_components,
+    _periods,
 )
 from .weierstrass import WeierstrassModel
 
@@ -88,8 +86,10 @@ def verify_twist_period_relation(
     table and minimization disagree. Passing means the relative gap between
     the two sides is at most `tolerance`.
     """
+    precision_bits = _check_settings(precision_bits, tolerance)
     minimal = minimize(m).minimal
-    return _verify(m, minimal, d, _utilde_table(minimal, d), precision_bits, tolerance)
+    report = _utilde_table(minimal, d)
+    return _verify(m, minimal, d, report, _periods(minimal, precision_bits), tolerance)
 
 
 def _check_settings(precision_bits: int, tolerance: float) -> int:
@@ -106,27 +106,26 @@ def _verify(
     minimal: WeierstrassModel,
     d: int,
     report: UTildeResult,
-    precision_bits: int,
+    periods: PeriodReport,
     tolerance: float,
 ) -> VerificationReport:
-    """verify_twist_period_relation for the minimal model of curve and the
-    table's report for (minimal, d)."""
-    precision_bits = _check_settings(precision_bits, tolerance)
+    """verify_twist_period_relation for the minimal model of curve, the
+    table's report for (minimal, d) and the periods of minimal, once the
+    settings are checked."""
+    precision_bits = periods.precision_bits
     twist_minimal = _minimal_twist(minimal, d, report).minimal
+    twist_periods = _periods(twist_minimal, precision_bits)
     with mp.workprec(precision_bits + 16):
         utilde = mpf(report.utilde.numerator) / report.utilde.denominator
-        lhs = raw_real_period(twist_minimal, precision_bits)
+        lhs = twist_periods.omega
         if d > 0:
-            rhs = utilde / mp.sqrt(d) * raw_real_period(minimal, precision_bits)
+            rhs = utilde / mp.sqrt(d) * periods.omega
         else:
-            omega_minus, _, _ = _imaginary_generator(
-                lattice_periods(minimal, precision_bits)
-            )
             rhs = (
                 utilde
                 / mp.sqrt(-d)
-                * real_components(twist_minimal)
-                * abs(mp.im(omega_minus))
+                * twist_periods.c_inf
+                * abs(mp.im(periods.omega_minus))
             )
         abs_rel_error = abs(lhs - rhs) / abs(rhs)
         passed = bool(abs_rel_error <= mpf(tolerance))
@@ -168,17 +167,17 @@ def iter_curve_file(path: str) -> Iterable[dict]:
     """Parse a JSON-lines curve file into {'label', 'model'} dicts.
 
     Each line is either a coefficient array ([a1,a2,a3,a4,a6] or short [A,B])
-    or an object {"label": ..., "curve": [...]}. Malformed or singular lines
-    yield {'label', 'error'} entries instead of raising, so a scan can record
-    them and keep going.
+    or an object {"label": ..., "curve": [...]}. Malformed, singular or
+    undecodable (not UTF-8) lines yield {'label', 'error'} entries instead of
+    raising, so a scan can record them and keep going.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        for index, line in enumerate(handle):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as handle:
+        for index, raw in enumerate(handle):
             label = f"curve-{index}"
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 data = json.loads(line)
                 if isinstance(data, dict):
                     label = str(data.get("label", label))
@@ -219,7 +218,7 @@ def _existing_keys(path: str, slots: dict[int, int]) -> tuple[dict, Counter]:
                 if counts is None:
                     counts = curves[key] = array("L", [0]) * len(slots)
                 counts[slot] += 1
-            except (json.JSONDecodeError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError):  # not UTF-8 or not JSON
                 continue
     return curves, labels
 
@@ -277,10 +276,10 @@ def scan(
     interruption is cut off first. A pair is matched by its normalized
     a-invariants and d, so inserting lines into the curve file does not
     shift it; an input that repeats a pair k times skips it as often as the
-    file already holds it. Each curve is minimized once and each d factored
-    once; verified pairs are cross-checked as in
-    verify_twist_period_relation. Per-pair failures become {'error': ...}
-    records rather than aborting the scan.
+    file already holds it. Each curve is minimized once, its lattice built
+    once on its first verified pair, and each d factored once; verified pairs
+    are cross-checked as in verify_twist_period_relation. Per-pair failures
+    become {'error': ...} records rather than aborting the scan.
 
     Returns counts of the records written, skipped pairs not included:
     records, checked (those without an error), verified_failures and errors.
@@ -296,7 +295,7 @@ def scan(
         raise ValueError(
             f"unknown filter {filter!r}; available: {sorted(FILTERS)}"
         ) from None
-    _check_settings(precision_bits, tolerance)
+    precision_bits = _check_settings(precision_bits, tolerance)
     if results_path is not None and stream is not None:
         raise ValueError("scan writes to results_path or to stream, not both")
     d_list = [operator.index(d) for d in d_values]
@@ -320,22 +319,22 @@ def scan(
                 continue
             model = entry["model"]
             curve = [str(a) for a in model.ainvs]
-            curve_key = tuple(curve)
-            minimal: dict = {}
-            done = done_curves.get(curve_key)
+            known: dict = {}
+            done = done_curves.get(tuple(curve))
             for d, slot in d_slots:
                 if done is not None and _skip(done, slot):
                     continue
                 record = {"label": label, "curve": curve, "d": d}
                 try:
-                    mm = _once(minimal, curve_key, lambda: minimize(model).minimal)
+                    mm = _once(known, "minimal", lambda: minimize(model).minimal)
                     primes = _once(odd_primes, d, lambda: odd_prime_divisors(d))
                     report = _utilde_table(mm, d, primes)
                     record.update(report.to_json_dict())
                     if filter_fn(report):
-                        verification = _verify(
-                            model, mm, d, report, precision_bits, tolerance
+                        periods = _once(
+                            known, "periods", lambda: _periods(mm, precision_bits)
                         )
+                        verification = _verify(model, mm, d, report, periods, tolerance)
                         vdict = verification.to_json_dict()
                         record.update(
                             verified=True,

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -24,6 +25,7 @@ from twistperiod.verification import iter_curve_file
 CURVE_A_ARG = json.dumps([int(a) for a in CURVE_A.ainvs])
 CURVE_B_ARG = json.dumps([int(a) for a in CURVE_B.ainvs])
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+README = os.path.join(DATA, os.pardir, os.pardir, "README.md")
 
 
 def run_cli(capsys, *argv):
@@ -354,6 +356,47 @@ def test_scan_missing_file(capsys, tmp_path):
     )
     assert code == 1  # unexpected I/O failure
     assert "error" in json.loads(err)
+
+
+def test_scan_records_an_undecodable_line_and_goes_on(capsys, tmp_path):
+    source = tmp_path / "curves.jsonl"
+    source.write_bytes(b"[0,0,0,-1,0]\n\xff\xfe[1,2]\n[0,0,0,1,1]\n")
+    results = tmp_path / "results.jsonl"
+    argv = ("--output", str(results), "scan", str(source),
+            "--twists", "5", "--filter", "none")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    records = [json.loads(line) for line in results.read_text().splitlines()]
+    assert [r["label"] for r in records] == ["curve-0", "curve-1", "curve-2"]
+    assert records[1]["d"] is None
+    assert records[1]["error"].startswith("UnicodeDecodeError: ")
+    assert not any("error" in r for r in (records[0], records[2]))
+    written = results.read_bytes()
+    assert run_cli(capsys, *argv)[0] == 0
+    assert results.read_bytes() == written
+
+
+def readme_examples() -> list[tuple[list[str], str]]:
+    """(argv, stdout) for each `$ twistperiod ...` line of README's text
+    block, stdout being the lines under it up to the next blank line."""
+    with open(README, encoding="utf-8") as handle:
+        block = handle.read().split("```text\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for example in block.split("\n\n"):
+        command, _, output = example.strip("\n").partition("\n")
+        assert command.startswith("$ twistperiod "), command
+        examples.append((shlex.split(command)[2:], output + "\n"))
+    return examples
+
+
+def test_readme_examples_print_what_readme_shows(capsys, monkeypatch):
+    monkeypatch.delenv("TWISTPERIOD_PRECISION", raising=False)
+    examples = readme_examples()
+    assert len(examples) >= 3
+    for argv, expected in examples:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert out == expected, argv
 
 
 # ---------------------------------------------------------------------------

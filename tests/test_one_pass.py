@@ -1,6 +1,6 @@
 """Each public entry point minimizes its curve once and builds each lattice
-once; a scan factors each twist parameter once and takes each curve's 2-adic
-signature once."""
+once; a scan factors each twist parameter once, takes each curve's 2-adic
+signature once and builds each curve's own lattice once."""
 
 import math
 import sys
@@ -8,9 +8,9 @@ import sys
 import pytest
 
 from helpers import CURVE_A, CURVE_B, CURVE_C, TWIST_A_D, TWIST_B_D, scan_records
-from twistperiod import exact, minimality, periods, weierstrass
-from twistperiod.minimality import ConsistencyError
-from twistperiod.periods import period_report
+from twistperiod import exact, minimality, periods, verification, weierstrass
+from twistperiod.minimality import ConsistencyError, minimal_model_of_twist, minimize
+from twistperiod.periods import PrecisionError, period_report
 from twistperiod.verification import verify_twist_period_relation
 
 
@@ -117,3 +117,52 @@ def test_verify_raises_when_table_disagrees_with_minimization(monkeypatch):
     monkeypatch.setattr(minimality, "utilde_factor_at", doubled_at_two)
     with pytest.raises(ConsistencyError):
         verify_twist_period_relation(CURVE_A, TWIST_A_D)
+
+
+@pytest.mark.parametrize("curve, d", [(CURVE_A, TWIST_A_D), (CURVE_B, TWIST_B_D)])
+def test_verify_builds_the_curve_lattice_then_the_twist_lattice(monkeypatch, curve, d):
+    calls = count_calls(monkeypatch, periods.lattice_periods)
+    assert verify_twist_period_relation(curve, d).passed
+    assert [args[0] for args in calls] == [
+        minimize(curve).minimal,
+        minimal_model_of_twist(curve, d)[0].minimal,
+    ]
+
+
+def test_verified_scan_builds_each_curve_lattice_once(monkeypatch):
+    curves = [("alpha", CURVE_A), ("beta", CURVE_B), ("gamma", CURVE_C)]
+    twists = [5, -7, 10, -3]
+    lattices = count_calls(monkeypatch, periods.lattice_periods)
+    settings = count_calls(monkeypatch, verification._check_settings)
+    records = scan_records(curves, twists, filter="all")
+    assert all(r["passed"] for r in records)
+    assert len(lattices) == len(curves) + len(curves) * len(twists)
+    built = [args[0] for args in lattices]
+    for _, curve in curves:
+        assert built.count(minimize(curve).minimal) == 1
+    assert len(settings) == 1
+
+
+def test_scan_gives_each_pair_of_a_curve_whose_lattice_fails_one_error(monkeypatch):
+    curves = [("alpha", CURVE_A), ("beta", CURVE_B)]
+    twists = [5, -7, 10, -3]
+    expected = scan_records(curves, twists, filter="all")
+    broken = minimize(CURVE_B).minimal
+    original = periods.lattice_periods
+    attempts = []
+
+    def failing_for_beta(m, precision_bits):
+        if m == broken:
+            attempts.append(m)
+            raise PrecisionError("planted")
+        return original(m, precision_bits)
+
+    monkeypatch.setattr(periods, "lattice_periods", failing_for_beta)
+    records = scan_records(curves, twists, filter="all")
+    assert len(attempts) == 1
+    assert [r for r in records if r["label"] == "alpha"] == [
+        r for r in expected if r["label"] == "alpha"
+    ]
+    beta = [r for r in records if r["label"] == "beta"]
+    assert [r["d"] for r in beta] == twists
+    assert all(r["error"] == "PrecisionError: planted" for r in beta)

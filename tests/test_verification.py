@@ -246,6 +246,19 @@ def test_scan_resume_drops_partial_last_line(tmp_path):
     assert sorted(keys) == [("alpha", 1), ("alpha", 5), ("beta", 1), ("beta", 5)]
 
 
+def test_scan_resume_skips_undecodable_lines_of_the_results_file(tmp_path):
+    results = tmp_path / "results.jsonl"
+    curves = [("alpha", CURVE_A), ("beta", CURVE_B)]
+    scan(curves, [1, 5], filter="none", results_path=str(results))
+    lines = results.read_bytes().splitlines(keepends=True)
+    results.write_bytes(lines[0] + b"\xff\xfe{}\n" + b"".join(lines[2:]))
+
+    counts = scan(curves, [1, 5], filter="none", results_path=str(results))
+    assert counts["records"] == 1
+    appended = json.loads(results.read_bytes().splitlines()[len(lines)])
+    assert (appended["label"], appended["d"]) == ("alpha", 5)
+
+
 def test_scan_resume_matches_pairs_by_content(tmp_path):
     source = tmp_path / "curves.jsonl"
     lines = [json.dumps([0, -1, 0, -6883, 222137]), json.dumps([1, 0, 1, -173, 879])]
