@@ -2,8 +2,9 @@
 
 Exact Weierstrass-model arithmetic (invariants, coordinate changes, twists,
 Laska-Kraus-Connell minimal models), the per-prime scaling factor of a
-minimal quadratic twist, arbitrary-precision period lattices via the complex
-AGM, and numerical verification that the real period of a twist matches
+minimal quadratic twist, arbitrary-precision period lattices from an integer
+fixed-point kernel (certified cubic roots and the real AGM), and numerical
+verification that the real period of a twist matches
 (utilde / sqrt(d)) times the (real or imaginary) period of the original curve.
 """
 

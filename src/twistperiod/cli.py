@@ -19,8 +19,8 @@ environment variable), --tolerance (default 1e-9), --format json|text,
 --output PATH.
 
 Exit codes: 0 success; 2 malformed input; 3 singular curve; 4 domain errors
-(non-square-free d, bad precision or tolerance); 5 numeric failure (AGM non-convergence,
-a factorization beyond its budget); 6 internal consistency failure; 1 unexpected.
+(non-square-free d, bad precision or tolerance); 5 numeric failure (uncertified
+cubic roots, a factorization beyond its budget); 6 internal consistency failure; 1 unexpected.
 """
 
 from __future__ import annotations

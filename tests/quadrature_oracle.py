@@ -99,16 +99,18 @@ def _separator(g, g_derivative, near: Fraction, width: Fraction, want_negative: 
 def exact_real_roots(model: WeierstrassModel, precision_bits: int) -> list[Fraction]:
     """Real roots of ``4x^3 + b2 x^2 + 2 b4 x + b6``, largest first.
 
-    Roots are isolated and refined purely with exact rational arithmetic; the
-    returned approximations are accurate to roughly ``2**-precision_bits``
-    times the initial bracket width.  Requires an integral model so that the
-    critical-point separators can use integer square roots.
+    Roots are isolated and refined purely with exact rational arithmetic.
+    The brackets start at most ``2 * bound`` wide, so bisecting them
+    ``bitlen(bound)`` more times than ``precision_bits`` leaves each root
+    accurate to about ``2**-precision_bits`` in absolute terms, however large
+    the roots are.  Requires an integral model so that the critical-point
+    separators can use integer square roots.
     """
     if any(a.denominator != 1 for a in model.ainvs):
         raise ValueError("exact root isolation requires an integral model")
     inv = model.invariants
     g, g_derivative, bound = _cubic(model)
-    iterations = precision_bits + _BISECTION_GUARD
+    iterations = precision_bits + _BISECTION_GUARD + math.ceil(bound).bit_length()
     if inv.delta < 0:
         return [_bisect(g, -bound, bound, iterations)]
 

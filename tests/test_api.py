@@ -7,7 +7,10 @@ so a later trim cannot silently break `bench/run.py --trace 1`.
 """
 
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import twistperiod
@@ -104,3 +107,23 @@ def test_bench_package_attributes_resolve():
         used.update(re.findall(r"\bpkg\.([\w.]+)", source.read_text(encoding="utf-8")))
     for dotted in sorted(used):
         assert _resolve(twistperiod, dotted.rstrip(".")) is not None, dotted
+
+
+def test_helpers_import_without_hypothesis():
+    # bench/run.py imports helpers for its pinned fixtures, in the process it
+    # times and measures; the hypothesis strategies live in strategies.py.
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    code = (
+        "import sys, helpers; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'hypothesis'))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -20,14 +20,13 @@ from helpers import (
     UTILDE_A,
     UTILDE_B,
     UTILDE_C,
-    integral_models,
     is_identity,
     is_integral,
     minimal_twist_valuation,
     random_minimal_model,
     random_square_free,
-    square_free_ints,
 )
+from strategies import integral_models, square_free_ints
 from twistperiod.exact import vp
 from twistperiod.minimality import (
     CASE_LABELS,

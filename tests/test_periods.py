@@ -1,5 +1,6 @@
 """Period lattices via the arithmetic-geometric mean."""
 
+import math
 import random
 
 import mpmath as mp
@@ -15,13 +16,17 @@ from helpers import (
     OMEGA_TWIST_B,
     TWIST_A_D,
     TWIST_B_D,
-    integral_models,
+    random_minimal_model,
     random_model,
     random_transformation,
+    scan_records,
 )
+from strategies import integral_models
 from quadrature_oracle import quadrature_real_period
+from twistperiod import periods
 from twistperiod.minimality import minimal_model_of_twist
 from twistperiod.periods import (
+    PrecisionError,
     complex_agm,
     imaginary_period,
     lattice_periods,
@@ -30,6 +35,7 @@ from twistperiod.periods import (
     real_components,
     real_period,
 )
+from twistperiod.verification import verify_twist_period_relation
 from twistperiod.twisting import twist
 from twistperiod.weierstrass import WeierstrassModel
 
@@ -261,3 +267,119 @@ def test_period_report_payload():
     assert payload["k1"] == 2 and payload["k2"] == -1
     assert payload["precision_bits"] == 128
     assert isinstance(payload["omega"], str) and payload["omega"].startswith("1.298")
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel: certified digits, one code path
+# ---------------------------------------------------------------------------
+
+
+def near_cusp(k: int) -> WeierstrassModel:
+    """y^2 = x^3 - 3k^2*x + 2k^3 + 1 = (x - k)^2 (x + 2k) + 1: delta < 0, with
+    the complex pair of roots within about k^(-1/2) of the real axis."""
+    return WeierstrassModel.from_ainvs([-3 * k * k, 2 * k**3 + 1])
+
+
+def split_near_double(k: int) -> WeierstrassModel:
+    """y^2 = (x - k)(x - k - 1)(x + 2k + 1): delta > 0, two roots 1 apart."""
+    a4, a6 = -(3 * k * k + 3 * k + 1), 2 * k**3 + 3 * k * k + k
+    return WeierstrassModel.from_ainvs([a4, a6])
+
+
+HARD_CURVES = [
+    pytest.param(near_cusp(10**20), 128, id="near-cusp-k1e20"),
+    pytest.param(near_cusp(10**6), 64, id="near-cusp-k1e6"),
+    pytest.param(near_cusp(10**12), 64, id="near-cusp-k1e12"),
+    pytest.param(near_cusp(10**40), 128, id="near-cusp-k1e40"),
+    pytest.param(split_near_double(10**20), 128, id="split-k1e20"),
+    pytest.param(
+        WeierstrassModel.from_ainvs([-829300, 366514, 609391, -35843, 920330]),
+        128,
+        id="large-coefficients",
+    ),
+]
+
+
+def _agreeing_bits(value, reference) -> float:
+    with mp.workprec(4096):
+        gap = abs(value - reference)
+        return math.inf if gap == 0 else float(-mp.log(gap / abs(reference), 2))
+
+
+@pytest.mark.parametrize("m, bits", HARD_CURVES)
+def test_hard_curves_get_the_requested_bits(m, bits):
+    # Large roots, roots 1 apart, and a complex pair near the real axis: each
+    # must reach the requested bits against a run at four times the precision.
+    report = period_report(m, bits)
+    reference = period_report(m, 4 * bits)
+    omega_minus, reference_minus = report.omega_minus, reference.omega_minus
+    assert _agreeing_bits(real_period(m, bits), reference.omega) >= bits
+    assert _agreeing_bits(report.omega, reference.omega) >= bits
+    assert _agreeing_bits(omega_minus, reference_minus) >= bits
+
+
+def test_split_curve_matches_quadrature():
+    # Roots near 10^20 and 1 apart; the quadrature oracle bisects its roots
+    # from exact rationals, independently of the kernel.
+    m = split_near_double(10**20)
+    assert m.delta > 0
+    assert _rel_error(raw_real_period(m, 128), quadrature_real_period(m, 128)) < 1e-12
+
+
+def test_periods_need_neither_polyroots_nor_complex_agm(monkeypatch):
+    curves = [CURVE_A, CURVE_B, SQUARE]
+    pairs = [(CURVE_A, TWIST_A_D), (CURVE_B, TWIST_B_D)]
+    labelled = [("A", CURVE_A), ("B", CURVE_B), ("square", SQUARE)]
+
+    def run():
+        lattices = [lattice_periods(m, bits) for m in curves for bits in (128, 1024)]
+        verified = [verify_twist_period_relation(m, d) for m, d in pairs]
+        return lattices, verified, scan_records(labelled, [-7, -1, 5], filter="all")
+
+    expected = run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the period kernel left its integer path")
+
+    monkeypatch.setattr(mp.mp, "polyroots", refuse)
+    monkeypatch.setattr(mp, "polyroots", refuse)
+    monkeypatch.setattr(periods, "complex_agm", refuse)
+    assert run() == expected
+
+
+@pytest.mark.parametrize("bits", [128, 1024])
+def test_lattice_agrees_with_twice_the_precision(bits):
+    rng = random.Random(1000 + bits)
+    by_sign = {True: [], False: []}
+    while min(len(models) for models in by_sign.values()) < 30:
+        m = random_minimal_model(rng, bound=40)
+        by_sign[m.delta > 0].append(m)
+    for m in by_sign[True][:30] + by_sign[False][:30]:
+        low, high = lattice_periods(m, bits), lattice_periods(m, 2 * bits)
+        assert _agreeing_bits(low.omega_real, high.omega_real) >= bits, m
+        assert _agreeing_bits(low.omega_complex, high.omega_complex) >= bits, m
+
+
+def test_failed_root_certificate_retries_once_then_raises(monkeypatch):
+    # A root two units off fails its certificate: the roots are recomputed
+    # once at twice the working precision, and a second failure raises.
+    original = periods._root
+    expected = lattice_periods(CURVE_A, 128).omega_real
+    scales = []
+
+    def off_by_two(failing_calls):
+        def root(cubic, lo, hi, s, k, gap_bits):
+            scales.append(k)
+            shift = 2 if len(scales) <= failing_calls else 0
+            return original(cubic, lo, hi, s, k, gap_bits) + shift
+
+        return root
+
+    monkeypatch.setattr(periods, "_root", off_by_two(1))
+    assert _agreeing_bits(lattice_periods(CURVE_A, 128).omega_real, expected) >= 128
+    assert len(scales) == 2 and scales[1] == 2 * scales[0]
+    scales.clear()
+    monkeypatch.setattr(periods, "_root", off_by_two(2))
+    with pytest.raises(PrecisionError):
+        lattice_periods(CURVE_A, 128)
+    assert len(scales) == 2

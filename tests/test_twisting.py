@@ -13,11 +13,9 @@ from helpers import (
     TWIST_B_D,
     TWISTED_A,
     TWISTED_B,
-    integral_models,
     is_integral,
-    rational_models,
-    square_free_ints,
 )
+from strategies import integral_models, rational_models, square_free_ints
 from twist_oracle import twist_transformation
 from twistperiod.twisting import twist
 from twistperiod.weierstrass import WeierstrassModel

@@ -8,13 +8,11 @@ from hypothesis import given, settings
 
 from helpers import (
     compose,
-    integral_models,
     invert,
     is_identity,
     is_integral,
-    rational_models,
-    transformations,
 )
+from strategies import integral_models, rational_models, transformations
 from twistperiod.exact import INFINITY
 from twistperiod.weierstrass import (
     Invariants,
