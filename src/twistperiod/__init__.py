@@ -40,7 +40,6 @@ from .periods import (
 )
 from .twisting import twist
 from .verification import (
-    DEFAULT_TOLERANCE,
     FILTERS,
     VerificationReport,
     iter_curve_file,
@@ -61,7 +60,6 @@ __all__ = [
     "CASE_LABELS",
     "ConsistencyError",
     "DEFAULT_PRECISION_BITS",
-    "DEFAULT_TOLERANCE",
     "FILTERS",
     "FactorizationBudgetError",
     "Invariants",

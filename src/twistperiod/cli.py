@@ -14,20 +14,19 @@ Commands
 MODEL is a JSON array: [a1,a2,a3,a4,a6], or the short form [A,B] for
 y^2 = x^3 + A*x + B; entries may be integers or "n/d" strings.
 
-Global options: --precision-bits (default 128, or the TWISTPERIOD_PRECISION
-environment variable), --tolerance (default 1e-9), --format json|text,
---output PATH.
+Global options: --precision-bits P (default 128), --format json|text,
+--output PATH. Periods are printed to ceil(P*log10(2)) + 1 significant digits,
+and verify passes when its two sides agree to a relative 2^-P.
 
 Exit codes: 0 success; 2 malformed input; 3 singular curve; 4 domain errors
-(non-square-free d, bad precision or tolerance); 5 numeric failure (uncertified
-cubic roots, a factorization beyond its budget); 6 internal consistency failure; 1 unexpected.
+(non-square-free d, bad precision); 5 numeric failure (uncertified cubic roots,
+a factorization beyond its budget); 6 internal consistency failure; 1 unexpected.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Optional
@@ -40,11 +39,9 @@ from .periods import (
     period_report,
 )
 from .twisting import twist
-from .verification import DEFAULT_TOLERANCE, FILTERS, iter_curve_file, scan
+from .verification import FILTERS, iter_curve_file, scan
 from .verification import verify_twist_period_relation
 from .weierstrass import SingularCurveError, WeierstrassModel
-
-ENV_PRECISION = "TWISTPERIOD_PRECISION"
 
 
 class ParseError(ValueError):
@@ -65,18 +62,6 @@ def _parse_d(text: str) -> int:
         return int(text)
     except ValueError as exc:
         raise ParseError(f"twist parameter must be an integer, got {text!r}") from exc
-
-
-def _default_precision() -> int:
-    env = os.environ.get(ENV_PRECISION)
-    if env is None:
-        return DEFAULT_PRECISION_BITS
-    try:
-        return int(env)
-    except ValueError:
-        raise ParseError(
-            f"{ENV_PRECISION} must be an integer, got {env!r}"
-        ) from None
 
 
 def _render(data: dict, fmt: str) -> str:
@@ -162,7 +147,7 @@ def _cmd_periods(args) -> dict:
 def _cmd_verify(args) -> dict:
     m = _parse_model(args.model)
     d = _parse_d(args.d)
-    report = verify_twist_period_relation(m, d, args.precision_bits, args.tolerance)
+    report = verify_twist_period_relation(m, d, args.precision_bits)
     return report.to_json_dict()
 
 
@@ -173,7 +158,6 @@ def _cmd_scan(args) -> Optional[dict]:
         args.twists,
         filter=args.filter,
         precision_bits=args.precision_bits,
-        tolerance=args.tolerance,
         results_path=args.output,
         resume=not args.no_resume,
         stream=sys.stdout if args.output is None else None,
@@ -198,14 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--precision-bits",
         type=int,
-        default=None,
-        help=f"working precision in bits (>= 64; default 128 or ${ENV_PRECISION})",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULT_TOLERANCE,
-        help="relative tolerance for verification (default 1e-9)",
+        default=DEFAULT_PRECISION_BITS,
+        help=f"precision in bits (>= 64; default {DEFAULT_PRECISION_BITS})",
     )
     parser.add_argument(
         "--format", choices=("json", "text"), default="text", help="output format"
@@ -264,8 +242,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.precision_bits is None:
-            args.precision_bits = _default_precision()
         if args.command == "scan":
             args.twists = [_parse_d(d) for d in args.twists]
         result = args.fn(args)

@@ -309,16 +309,16 @@ def _solve_transformation(
 def minimize(m: WeierstrassModel) -> MinimalModelResult:
     """The canonical minimal model of m and the exact map reaching it.
 
-    Laska-Kraus-Connell: integralize by the lcm n of the denominators, strip
-    the largest admissible scale u prime by prime, rebuild the reduced model
+    Laska-Kraus-Connell: integralize by the lcm n of the denominators (the
+    scale 1/n takes c4, c6, delta to c4*n^4, c6*n^6, delta*n^12), strip the
+    largest admissible scale u prime by prime, rebuild the reduced model
     from the reduced (c4, c6). n need not be the least integralizing scale:
     the strip removes any excess, and the map's scale is u / n either way.
     Idempotent, and the map scale is 1 exactly when m is already minimal.
     """
     n = math.lcm(*(a.denominator for a in m.ainvs))
-    integral = Transformation(Fraction(1, n)).apply(m) if n > 1 else m
-    inv = integral.invariants
-    c4, c6, delta = int(inv.c4), int(inv.c6), int(inv.delta)
+    inv = m.invariants
+    c4, c6, delta = int(inv.c4 * n**4), int(inv.c6 * n**6), int(inv.delta * n**12)
     u_red = 1
     for p in _candidate_primes(c4, c6):
         e = _reduction_exponent(p, c4, c6, delta)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from math import isqrt, lcm
+from math import ceil, isqrt, lcm, log10
 
 from mpmath import mp, mpc, mpf
 
@@ -63,8 +63,12 @@ def _check_precision(precision_bits: int) -> int:
     return precision_bits
 
 
-def _nstr(x) -> str:
-    return mp.nstr(x, max(mp.dps - 3, 15))
+def _nstr(x, precision_bits: int) -> str:
+    """x to ceil(precision_bits*log10(2)) + 1 significant digits. One unit
+    in the last place exceeds 2^-(precision_bits+7) of x, so a value within
+    2^-(precision_bits+13) of the truth prints every digit correctly rounded,
+    save a rounding tie within 1/50 of a unit."""
+    return mp.nstr(x, ceil(precision_bits * log10(2)) + 1)
 
 
 @dataclass(frozen=True)
@@ -90,15 +94,14 @@ class PeriodReport:
     precision_bits: int
 
     def to_json_dict(self) -> dict:
-        with mp.workprec(self.precision_bits):
-            return {
-                "omega": _nstr(self.omega),
-                "omega_minus_im": _nstr(mp.im(self.omega_minus)),
-                "c_inf": self.c_inf,
-                "k1": self.k1,
-                "k2": self.k2,
-                "precision_bits": self.precision_bits,
-            }
+        return {
+            "omega": _nstr(self.omega, self.precision_bits),
+            "omega_minus_im": _nstr(self.omega_minus.imag, self.precision_bits),
+            "c_inf": self.c_inf,
+            "k1": self.k1,
+            "k2": self.k2,
+            "precision_bits": self.precision_bits,
+        }
 
 
 def real_components(m: WeierstrassModel) -> int:

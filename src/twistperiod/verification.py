@@ -6,8 +6,9 @@ For a minimal model E and square-free d, the relation under test is
     d < 0:  Omega(E^d) = (utilde / sqrt(|d|)) * c_inf(E^d) * |Omega^-(E)|
 
 where E^d is the quadratic twist, utilde the scaling factor of its minimal
-model, Omega the real period and Omega^- the imaginary period. Both sides are
-compared in absolute value at a configurable precision and tolerance.
+model, Omega the real period and Omega^- the imaginary period. The relation is
+exact, so at p requested bits it passes exactly when the two sides, compared
+in absolute value, agree to a relative 2^-p.
 
 scan() runs the per-prime table over a stream of curves and twist parameters,
 optionally escalating to a full period verification when a filter on the
@@ -40,8 +41,6 @@ from .periods import (
 )
 from .weierstrass import WeierstrassModel
 
-DEFAULT_TOLERANCE = 1e-9
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -58,25 +57,23 @@ class VerificationReport:
     precision_bits: int
 
     def to_json_dict(self) -> dict:
-        with mp.workprec(self.precision_bits):
-            return {
-                "curve": [str(a) for a in self.curve.ainvs],
-                "d": self.d,
-                "utilde": self.utilde,
-                "case_labels": list(self.case_labels),
-                "lhs": _nstr(self.lhs),
-                "rhs": _nstr(self.rhs),
-                "abs_rel_error": mp.nstr(self.abs_rel_error, 8),
-                "passed": self.passed,
-                "precision_bits": self.precision_bits,
-            }
+        return {
+            "curve": [str(a) for a in self.curve.ainvs],
+            "d": self.d,
+            "utilde": self.utilde,
+            "case_labels": list(self.case_labels),
+            "lhs": _nstr(self.lhs, self.precision_bits),
+            "rhs": _nstr(self.rhs, self.precision_bits),
+            "abs_rel_error": mp.nstr(self.abs_rel_error, 8),
+            "passed": self.passed,
+            "precision_bits": self.precision_bits,
+        }
 
 
 def verify_twist_period_relation(
     m: WeierstrassModel,
     d: int,
     precision_bits: int = DEFAULT_PRECISION_BITS,
-    tolerance: float = DEFAULT_TOLERANCE,
 ) -> VerificationReport:
     """Measure both sides of the twisted-period relation for (m, d).
 
@@ -84,21 +81,12 @@ def verify_twist_period_relation(
     than the particular model. Its twist is minimized as in
     minimal_model_of_twist, so ConsistencyError is raised when the per-prime
     table and minimization disagree. Passing means the relative gap between
-    the two sides is at most `tolerance`.
+    the two sides is at most 2^-precision_bits.
     """
-    precision_bits = _check_settings(precision_bits, tolerance)
+    precision_bits = _check_precision(precision_bits)
     minimal = minimize(m).minimal
     report = _utilde_table(minimal, d)
-    return _verify(m, minimal, d, report, _periods(minimal, precision_bits), tolerance)
-
-
-def _check_settings(precision_bits: int, tolerance: float) -> int:
-    """precision_bits as an int, once both it and tolerance are valid;
-    ValueError otherwise (a NaN tolerance is not positive)."""
-    precision_bits = _check_precision(precision_bits)
-    if not tolerance > 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-    return precision_bits
+    return _verify(m, minimal, d, report, _periods(minimal, precision_bits))
 
 
 def _verify(
@@ -107,11 +95,15 @@ def _verify(
     d: int,
     report: UTildeResult,
     periods: PeriodReport,
-    tolerance: float,
 ) -> VerificationReport:
     """verify_twist_period_relation for the minimal model of curve, the
     table's report for (minimal, d) and the periods of minimal, once the
-    settings are checked."""
+    precision p is checked.
+
+    Each period is certified to more than p + 16 bits, and each side takes at
+    most a few roundings at p + 16 bits more, so each side is within about
+    2^-(p+13) of its true value. A true relation therefore passes the bound
+    2^-p with more than 12 bits to spare, and a gap of 2^-(p-2) fails it."""
     precision_bits = periods.precision_bits
     twist_minimal = _minimal_twist(minimal, d, report).minimal
     twist_periods = _periods(twist_minimal, precision_bits)
@@ -128,7 +120,7 @@ def _verify(
                 * abs(mp.im(periods.omega_minus))
             )
         abs_rel_error = abs(lhs - rhs) / abs(rhs)
-        passed = bool(abs_rel_error <= mpf(tolerance))
+        passed = bool(abs_rel_error <= mp.ldexp(1, -precision_bits))
     return VerificationReport(
         curve=curve,
         d=d,
@@ -259,7 +251,6 @@ def scan(
     d_values: Iterable[int],
     filter: str = "odd-prime",
     precision_bits: int = DEFAULT_PRECISION_BITS,
-    tolerance: float = DEFAULT_TOLERANCE,
     results_path: Optional[str] = None,
     resume: bool = True,
     stream: Optional[TextIO] = None,
@@ -269,8 +260,8 @@ def scan(
     iter_curve_file entries.
 
     Each record is written once, in input order and d-major within each
-    curve, to one sink: appended to `results_path` or written to `stream`,
-    and flushed at once; none is kept. Pairs already present in
+    curve, to exactly one sink: appended to `results_path` or written to
+    `stream`, and flushed at once; none is kept. Pairs already present in
     `results_path` are skipped when `resume` is set, so an interrupted scan
     can be rerun with the same arguments; a partial last line left by the
     interruption is cut off first. A pair is matched by its normalized
@@ -285,9 +276,8 @@ def scan(
     records, checked (those without an error), verified_failures and errors.
 
     `filter` is a name in FILTERS. An unknown filter, a precision below the
-    minimum, a tolerance that is not positive or two sinks raise ValueError,
-    and a d or a precision that is not an integer TypeError, before the
-    results file is read or opened.
+    minimum, or no sink or two, raise ValueError, and a d or a precision that
+    is not an integer TypeError, before the results file is read or opened.
     """
     try:
         filter_fn = FILTERS[filter]
@@ -295,9 +285,9 @@ def scan(
         raise ValueError(
             f"unknown filter {filter!r}; available: {sorted(FILTERS)}"
         ) from None
-    precision_bits = _check_settings(precision_bits, tolerance)
-    if results_path is not None and stream is not None:
-        raise ValueError("scan writes to results_path or to stream, not both")
+    precision_bits = _check_precision(precision_bits)
+    if (results_path is None) == (stream is None):
+        raise ValueError("scan writes to one of results_path and stream")
     d_list = [operator.index(d) for d in d_values]
     slots = {d: i for i, d in enumerate(dict.fromkeys(d_list))}
     d_slots = [(d, slots[d]) for d in d_list]
@@ -334,7 +324,7 @@ def scan(
                         periods = _once(
                             known, "periods", lambda: _periods(mm, precision_bits)
                         )
-                        verification = _verify(model, mm, d, report, periods, tolerance)
+                        verification = _verify(model, mm, d, report, periods)
                         vdict = verification.to_json_dict()
                         record.update(
                             verified=True,
@@ -363,7 +353,6 @@ def scan(
     }
 
 
-def _emit(record: dict, out: Optional[TextIO]) -> None:
-    if out is not None:
-        out.write(json.dumps(record) + "\n")
-        out.flush()
+def _emit(record: dict, out: TextIO) -> None:
+    out.write(json.dumps(record) + "\n")
+    out.flush()

@@ -22,7 +22,6 @@ PUBLIC_API = [
     "CASE_LABELS",
     "ConsistencyError",
     "DEFAULT_PRECISION_BITS",
-    "DEFAULT_TOLERANCE",
     "FILTERS",
     "FactorizationBudgetError",
     "Invariants",
@@ -78,7 +77,7 @@ def _resolve(owner, dotted: str):
 
 
 def test_public_api_is_pinned():
-    assert len(PUBLIC_API) == 36
+    assert len(PUBLIC_API) == 35
     assert sorted(twistperiod.__all__) == PUBLIC_API
     for name in PUBLIC_API:
         assert getattr(twistperiod, name) is not None, name

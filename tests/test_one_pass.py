@@ -133,14 +133,22 @@ def test_verified_scan_builds_each_curve_lattice_once(monkeypatch):
     curves = [("alpha", CURVE_A), ("beta", CURVE_B), ("gamma", CURVE_C)]
     twists = [5, -7, 10, -3]
     lattices = count_calls(monkeypatch, periods.lattice_periods)
-    settings = count_calls(monkeypatch, verification._check_settings)
+    # only scan's own check: lattice_periods checks the precision of each lattice
+    checks = []
+    original = verification._check_precision
+
+    def check(bits):
+        checks.append(bits)
+        return original(bits)
+
+    monkeypatch.setattr(verification, "_check_precision", check)
     records = scan_records(curves, twists, filter="all")
     assert all(r["passed"] for r in records)
     assert len(lattices) == len(curves) + len(curves) * len(twists)
     built = [args[0] for args in lattices]
     for _, curve in curves:
         assert built.count(minimize(curve).minimal) == 1
-    assert len(settings) == 1
+    assert len(checks) == 1
 
 
 def test_scan_gives_each_pair_of_a_curve_whose_lattice_fails_one_error(monkeypatch):

@@ -1,5 +1,6 @@
 """Numerical verification of the twisted-period relation, and bulk scans."""
 
+import dataclasses
 import io
 import json
 import os
@@ -18,11 +19,13 @@ from helpers import (
     UTILDE_A,
     UTILDE_B,
     random_model,
+    random_square_free,
     scan_records,
     semiprime_beyond_rho_budget,
 )
+from twistperiod import verification
 from twistperiod.exact import is_square_free
-from twistperiod.minimality import compute_utilde
+from twistperiod.minimality import compute_utilde, minimal_model_of_twist
 from twistperiod.verification import (
     FILTERS,
     iter_curve_file,
@@ -72,9 +75,49 @@ def test_verify_rejects_bad_inputs():
     with pytest.raises(ValueError):
         verify_twist_period_relation(CURVE_A, 12)  # not square-free
     with pytest.raises(ValueError):
-        verify_twist_period_relation(CURVE_A, 5, tolerance=0)
-    with pytest.raises(ValueError):
         verify_twist_period_relation(CURVE_A, 5, precision_bits=16)
+
+
+def perturb_lhs(monkeypatch, curve, d, exponent):
+    """Scale Omega of the minimal twist of curve by d, the lhs of the
+    relation for (curve, d), by 1 + 2^exponent wherever verification reads
+    it."""
+    twist_minimal = minimal_model_of_twist(curve, d)[0].minimal
+    original = verification._periods
+
+    def perturbed(m, precision_bits):
+        report = original(m, precision_bits)
+        if m != twist_minimal:
+            return report
+        with mp.workprec(precision_bits + 64):
+            omega = report.omega * (1 + mp.ldexp(1, exponent))
+        return dataclasses.replace(report, omega=omega)
+
+    monkeypatch.setattr(verification, "_periods", perturbed)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 512])
+@pytest.mark.parametrize("curve, d", [(CURVE_A, TWIST_A_D), (CURVE_B, TWIST_B_D)])
+@pytest.mark.parametrize("extra_bits, passed", [(-2, False), (8, True)])
+def test_verify_passes_exactly_when_the_sides_agree_to_the_requested_bits(
+    monkeypatch, bits, curve, d, extra_bits, passed
+):
+    perturb_lhs(monkeypatch, curve, d, -(bits + extra_bits))
+    report = verify_twist_period_relation(curve, d, bits)
+    assert report.passed is passed
+    assert (report.abs_rel_error <= mp.ldexp(1, -bits)) is passed
+
+
+@pytest.mark.parametrize("bits", [64, 128, 512])
+def test_verify_keeps_twelve_bits_beyond_the_requested_bits(bits):
+    # The bound 2^-p that decides `passed` has about 14.5 bits to spare on
+    # true relations; this fails first if some of that margin is lost.
+    rng = random.Random(2012)
+    for _ in range(12):
+        m = random_model(rng, bound=10**6)
+        d = random_square_free(rng, bound=10**6)
+        report = verify_twist_period_relation(m, d, bits)
+        assert report.abs_rel_error <= mp.ldexp(1, -(bits + 12)), (m.ainvs, d)
 
 
 def test_verification_report_payload():
@@ -309,7 +352,7 @@ def test_scan_rejects_unknown_filter():
 
 
 @pytest.mark.parametrize(
-    "bad", [{"precision_bits": 10}, {"tolerance": 0}, {"tolerance": float("nan")}]
+    "bad", [{"precision_bits": 10}, {"precision_bits": 63}, {"precision_bits": 0}]
 )
 def test_scan_checks_settings_before_touching_results(tmp_path, bad):
     # a filter that verifies nothing still rejects settings verify would
@@ -318,11 +361,6 @@ def test_scan_checks_settings_before_touching_results(tmp_path, bad):
     with pytest.raises(ValueError):
         scan([("alpha", CURVE_A)], [5], filter="none", results_path=str(results), **bad)
     assert results.read_text(encoding="utf-8") == '{"label": "partial'
-
-
-def test_verify_rejects_nan_tolerance():
-    with pytest.raises(ValueError):
-        verify_twist_period_relation(CURVE_A, TWIST_A_D, tolerance=float("nan"))
 
 
 def test_scan_records_json_string_curves_as_errors(tmp_path):
@@ -380,18 +418,31 @@ def test_scan_rejects_two_sinks_and_keeps_results(tmp_path):
     assert stream.getvalue() == ""
 
 
-def test_scan_returns_counts_of_the_records_it_wrote(tmp_path):
-    # At a tolerance of 1e-300 the pinned pair fails on its last bits.
+def test_scan_rejects_no_sink_before_any_work():
+    started = []
+
+    def curves():
+        started.append(True)
+        yield ("alpha", CURVE_A)
+
+    with pytest.raises(ValueError):
+        scan(curves(), [5], filter="none")
+    assert started == []
+
+
+def test_scan_returns_counts_of_the_records_it_wrote(monkeypatch, tmp_path):
+    # The pinned pair fails once its lhs is off by a factor 1 + 2^-(128-2).
+    perturb_lhs(monkeypatch, CURVE_A, TWIST_A_D, -126)
     curves = [("alpha", CURVE_A), {"label": "bad", "error": "ValueError: bad"}]
     results = tmp_path / "results.jsonl"
-    options = dict(filter="all", tolerance=1e-300, results_path=str(results))
+    options = dict(filter="all", results_path=str(results))
     counts = scan(curves, [TWIST_A_D, 4], **options)
     assert counts == {"records": 3, "checked": 1, "verified_failures": 1, "errors": 2}
     records = [json.loads(line) for line in results.read_text().splitlines()]
     assert len(records) == counts["records"]
     assert sum("error" in r for r in records) == counts["errors"]
     assert records[0]["passed"] is False
-    assert 0 < float(records[0]["abs_rel_error"]) < 1e-40
+    assert 2.0**-128 < float(records[0]["abs_rel_error"]) < 2.0**-125
     # resumed pairs are neither written nor counted
     stored = results.read_bytes()
     counts = scan(curves, [TWIST_A_D, 4], **options)
