@@ -18,25 +18,34 @@ each rounding ((a+b) >> 1, isqrt, floor division) errs by at most one unit 2^-K.
 For p requested bits, K = p + 32 + r + G: each root is below 2^r (Fujiwara's
 bound on the bit lengths of b2, b4, b6) and each gap between roots exceeds
 2^-G, as 16*delta is 256 times the product of the squared gaps, each below
-2^(r+1). Bisection on integers scaled by 2^(G+8), split at the critical points
-(-b2 +- isqrt(c4))/12 when delta > 0, isolates each real root, and Newton steps
-doubling the precision (Brent-Zimmermann, Modern Computer Arithmetic, 4.2)
-refine it. A root X is certified when g(X-1) and g(X+1), evaluated exactly, do
-not share a strict sign; else the roots are recomputed once with K and G raised
-by K, then PrecisionError is raised. Then a gap errs by two units on a value
-above 2^-G, beta^2 by 2*beta units, sqrt(2beta -+ alpha) exceeds
-2^-(G + r/2 + 2), and an AGM of n steps adds n units: each period keeps more
-than p + 16 correct bits.
+2^(r+1). Bisection on integers scaled by 2^(G+8) isolates the real root
+(delta < 0), or e1 and e3 beyond the critical points (-b2 +- isqrt(c4))/12
+(delta > 0), and Newton steps doubling the precision (Brent-Zimmermann, Modern
+Computer Arithmetic, 4.2) refine it. The middle root comes from the trace: the
+roots sum to -b2/4, so -b2/4 - e1 - e3 errs by at most two units, and one
+Newton step at scale K (2(K-1) >= K + G + 3) ends within one. A root X is
+certified when g(X-1) and g(X+1), evaluated exactly, do not have the same
+strict sign (a zero certifies, as it would make their product 0); else the
+roots are recomputed once with K and G raised by K, then PrecisionError is
+raised. Then a gap errs by two units on a value above 2^-G, beta^2 by 2*beta
+units, sqrt(2beta -+ alpha) exceeds 2^-(G + r/2 + 2), and an AGM of n steps
+adds n units: each period keeps more than p + 16 correct bits.
 
 c_inf * omega_real integrates |dx/Y| over the real locus; c_inf = 2 (two
 components) iff delta > 0. The sign of delta fixes the basis shape (Cohen,
 Alg. 7.4.7), so Omega^- = i*nu and (k1, k2) are read off it.
+
+lattice_periods isolates and certifies the roots at once, but runs each AGM
+only when its period is first read: omega_real for Omega, nu for Omega^-. So
+a twist relation, which reads Omega or Omega^- of a curve and Omega of its
+twist, runs two AGMs, not four.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from math import ceil, isqrt, lcm, log10
 
 from mpmath import mp, mpc, mpf
@@ -71,27 +80,108 @@ def _nstr(x, precision_bits: int) -> str:
     return mp.nstr(x, ceil(precision_bits * log10(2)) + 1)
 
 
-@dataclass(frozen=True)
-class PeriodLattice:
+class _ByValue:
+    """Equality and hash by the values `_VALUES` names, each read (and so
+    computed, if it is lazy) when compared."""
+
+    _VALUES: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._VALUES)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+@dataclass(frozen=True, eq=False)
+class PeriodLattice(_ByValue):
     """A period lattice basis: omega_real, the least positive real period,
     and omega_complex, i*nu (real part exactly 0) when delta > 0 and
-    (-omega_real + i*nu)/2 otherwise; i*nu generates the imaginary periods."""
+    (-omega_real + i*nu)/2 otherwise; i*nu generates the imaginary periods.
 
-    omega_real: mpf
-    omega_complex: mpc
+    lattice_periods builds it from g's certified roots `_roots` at scale
+    2^`_k`, g having the integer coefficients `_cubic` and 16*delta `_disc`,
+    and the model `_scale` times g's periods. omega_real and nu each run
+    their AGM on first read, at precision_bits + GUARD_BITS whatever mpmath's
+    ambient precision, and keep the value."""
+
     precision_bits: int
+    _cubic: tuple[int, int, int]
+    _disc: int
+    _roots: tuple[int, ...]
+    _k: int
+    _scale: int
+
+    _VALUES = ("omega_real", "omega_complex", "precision_bits")
+
+    @cached_property
+    def omega_real(self) -> mpf:
+        return self._period(imaginary=False)
+
+    @cached_property
+    def _nu(self) -> mpf:
+        return self._period(imaginary=True)
+
+    @cached_property
+    def omega_complex(self) -> mpc:
+        with mp.workprec(self.precision_bits + GUARD_BITS):
+            if self._disc > 0:
+                return mpc(0, self._nu)
+            return mpc(-self.omega_real / 2, self._nu / 2)
+
+    def _period(self, imaginary: bool) -> mpf:
+        """omega_real, or nu if imaginary: scale*pi over one real AGM."""
+        k = self._k
+        if self._disc > 0:
+            e1, e2, e3 = self._roots
+            mean = _agm(
+                isqrt((e1 - e3) << k), isqrt((e2 - e3 if imaginary else e1 - e2) << k)
+            )
+        else:
+            (e1,) = self._roots
+            b2, b4, _ = self._cubic
+            beta = isqrt(3 * e1 * e1 + ((b2 * e1) << (k - 1)) + (b4 << (2 * k - 1)))
+            alpha = 3 * e1 + (b2 << (k - 2))
+            wide = 2 * beta + abs(alpha)
+            if (alpha >= 0) != imaginary:  # the larger of 2beta +- alpha
+                b = isqrt(wide << k)
+            else:  # the smaller, -disc / (256 beta^4 wide)
+                b = isqrt((-self._disc << (7 * k)) // ((beta**4 * wide) << 8))
+            mean = _agm(2 * isqrt(beta << k), b)
+        with mp.workprec(self.precision_bits + GUARD_BITS):
+            return mp.ldexp(self._scale * mp.pi / mean, k)
 
 
-@dataclass(frozen=True)
-class PeriodReport:
-    """Everything the periods CLI command exposes for one curve."""
+@dataclass(frozen=True, eq=False)
+class PeriodReport(_ByValue):
+    """Everything the periods CLI command exposes for one curve: Omega =
+    c_inf*omega_real and Omega^- = i*nu = k1*omega_complex - k2*omega_real,
+    each read off the lattice (and its one AGM run) on first use; c_inf and
+    (k1, k2) follow the sign of delta, with no AGM."""
 
-    omega: mpf
-    omega_minus: mpc
     c_inf: int
     k1: int
     k2: int
     precision_bits: int
+    _lattice: PeriodLattice
+
+    _VALUES = ("omega", "omega_minus", "c_inf", "k1", "k2", "precision_bits")
+
+    @cached_property
+    def omega(self) -> mpf:
+        with mp.workprec(self.precision_bits + GUARD_BITS):
+            return self.c_inf * self._lattice.omega_real
+
+    @cached_property
+    def omega_minus(self) -> mpc:
+        # i*nu is k1*Im(omega_complex) exactly: nu/2 doubles without rounding
+        with mp.workprec(self.precision_bits + GUARD_BITS):
+            return mpc(0, self._lattice._nu)
 
     def to_json_dict(self) -> dict:
         return {
@@ -135,6 +225,13 @@ def _value(cubic, x: int, k: int) -> int:
     return ((4 * x + (b2 << k)) * x + (b4 << (2 * k + 1))) * x + (b6 << (3 * k))
 
 
+def _newton(cubic, x: int, k: int) -> int:
+    """One Newton step for g from x at scale 2^k, rounded to a unit."""
+    b2, b4, _ = cubic
+    slope = (12 * x + (b2 << (k + 1))) * x + (b4 << (2 * k + 1))
+    return x - (2 * _value(cubic, x, k) + slope) // (2 * slope)
+
+
 def _root(cubic, lo: int, hi: int, s: int, k: int, gap_bits: int) -> int:
     """The root of g in [lo, hi] (scale 2^s, g(lo)*g(hi) < 0) to one unit
     2^-k. Each Newton step to scale 2^k' starts from one unit 2^-h with
@@ -146,13 +243,25 @@ def _root(cubic, lo: int, hi: int, s: int, k: int, gap_bits: int) -> int:
     scales = [k]
     while (scales[-1] + gap_bits + 4) // 2 > s:
         scales.append((scales[-1] + gap_bits + 4) // 2)
-    b2, b4, _ = cubic
     for k in reversed(scales):
-        lo <<= k - s
-        slope = (12 * lo + (b2 << (k + 1))) * lo + (b4 << (2 * k + 1))
-        lo -= (2 * _value(cubic, lo, k) + slope) // (2 * slope)
+        lo = _newton(cubic, lo << (k - s), k)
         s = k
     return lo
+
+
+def _trace_root(cubic, e1: int, e3: int, k: int) -> int:
+    """The middle root of g to one unit 2^-k, given e1 and e3 to one unit:
+    the three roots sum to -b2/4, so the start errs by at most two units
+    2^-(k-1), and as 2(k-1) >= k + G + 3 (k = p + 32 + r + G), one Newton
+    step ends within one unit, as in _root."""
+    return _newton(cubic, -(cubic[0] << (k - 2)) - e1 - e3, k)
+
+
+def _certified(cubic, x: int, k: int) -> bool:
+    """True when g(x - 1) and g(x + 1), evaluated exactly at scale 2^k, do
+    not share a strict sign, so that a root lies within one unit of x."""
+    below, above = _value(cubic, x - 1, k), _value(cubic, x + 1, k)
+    return min(below, above) <= 0 <= max(below, above)
 
 
 def _real_roots(cubic, disc: int, precision_bits: int):
@@ -165,13 +274,15 @@ def _real_roots(cubic, disc: int, precision_bits: int):
     for k, gap_bits in ((k, gap_bits), (2 * k, gap_bits + k)):
         s = gap_bits + 8
         bound = 1 << (r + s)
-        brackets = [(-bound, bound)]
         if disc > 0:
             middle, half = -(b2 << s), isqrt((b2 * b2 - 24 * b4) << (2 * s))
             low, high = (middle - half) // 12, (middle + half) // 12
-            brackets = [(high, bound), (low, high), (-bound, low)]
-        roots = [_root(cubic, lo, hi, s, k, gap_bits) for lo, hi in brackets]
-        if all(_value(cubic, x - 1, k) * _value(cubic, x + 1, k) <= 0 for x in roots):
+            e1 = _root(cubic, high, bound, s, k, gap_bits)
+            e3 = _root(cubic, -bound, low, s, k, gap_bits)
+            roots = (e1, _trace_root(cubic, e1, e3, k), e3)
+        else:
+            roots = (_root(cubic, -bound, bound, s, k, gap_bits),)
+        if all(_certified(cubic, x, k) for x in roots):
             return roots, k
     raise PrecisionError("the cubic's roots failed certification")
 
@@ -190,49 +301,31 @@ def lattice_periods(
     precision_bits = _check_precision(precision_bits)
     inv = m.invariants
     scale = lcm(inv.b2.denominator, inv.b4.denominator, inv.b6.denominator)
-    b2, b4, _ = cubic = (
+    cubic = (
         int(inv.b2 * scale**2), int(inv.b4 * scale**4), int(inv.b6 * scale**6)
     )
     disc = int(16 * inv.delta * scale**12)
     roots, k = _real_roots(cubic, disc, precision_bits)
-    if disc > 0:
-        e1, e2, e3 = roots
-        a = isqrt((e1 - e3) << k)
-        omega, nu = _agm(a, isqrt((e1 - e2) << k)), _agm(a, isqrt((e2 - e3) << k))
-    else:
-        (e1,) = roots
-        beta = isqrt(3 * e1 * e1 + ((b2 * e1) << (k - 1)) + (b4 << (2 * k - 1)))
-        alpha = 3 * e1 + (b2 << (k - 2))
-        wide = 2 * beta + abs(alpha)
-        # square roots of wide and of the other one, -disc / (256 beta^4 wide)
-        sqrts = isqrt(wide << k), isqrt((-disc << (7 * k)) // ((beta**4 * wide) << 8))
-        plus, minus = sqrts if alpha >= 0 else sqrts[::-1]
-        a = 2 * isqrt(beta << k)
-        omega, nu = _agm(a, plus), _agm(a, minus)
-        scale *= 2
-    with mp.workprec(precision_bits + GUARD_BITS):
-        omega_real, nu = (mp.ldexp(scale * mp.pi / x, k) for x in (omega, nu))
-        omega_complex = mpc(0, nu) if disc > 0 else mpc(-omega_real / 2, nu / 2)
-        return PeriodLattice(omega_real, omega_complex, precision_bits)
+    return PeriodLattice(
+        precision_bits, cubic, disc, roots, k, scale if disc > 0 else 2 * scale
+    )
 
 
 def _periods(m: WeierstrassModel, precision_bits: int) -> PeriodReport:
-    """Omega = c_inf*omega_real and Omega^- = i*k1*Im(omega_complex) of m itself
-    (no minimization), from one lattice; c_inf and (k1, k2) follow sign(delta)."""
+    """Omega and Omega^- of m itself (no minimization), from one lattice;
+    c_inf and (k1, k2) follow sign(delta)."""
     lattice = lattice_periods(m, precision_bits)
     c_inf = real_components(m)
     k1, k2 = (1, 0) if c_inf == 2 else (2, -1)
-    with mp.workprec(lattice.precision_bits + GUARD_BITS):
-        omega = c_inf * lattice.omega_real
-        omega_minus = mpc(0, k1 * mp.im(lattice.omega_complex))
-    return PeriodReport(omega, omega_minus, c_inf, k1, k2, lattice.precision_bits)
+    return PeriodReport(c_inf, k1, k2, lattice.precision_bits, lattice)
 
 
 def period_report(
     m: WeierstrassModel, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> PeriodReport:
     """Real period, imaginary period and component count for one curve,
-    all from one lattice of its minimal model."""
+    all from one lattice of its minimal model; each period runs its AGM when
+    first read."""
     return _periods(minimize(m).minimal, precision_bits)
 
 

@@ -268,9 +268,10 @@ def scan(
     a-invariants and d, so inserting lines into the curve file does not
     shift it; an input that repeats a pair k times skips it as often as the
     file already holds it. Each curve is minimized once, its lattice built
-    once on its first verified pair, and each d factored once; verified pairs
-    are cross-checked as in verify_twist_period_relation. Per-pair failures
-    become {'error': ...} records rather than aborting the scan.
+    once on its first verified pair, its Omega and Omega^- each computed at
+    most once, and each d factored once; verified pairs are cross-checked as
+    in verify_twist_period_relation. Per-pair failures become {'error': ...}
+    records rather than aborting the scan.
 
     Returns counts of the records written, skipped pairs not included:
     records, checked (those without an error), verified_failures and errors.

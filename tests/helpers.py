@@ -48,6 +48,10 @@ CURVE_C = WeierstrassModel.from_ainvs([0, 0, 1, 0, -7])
 TWIST_C_D = -3
 UTILDE_C = Fraction(3)
 
+# y^2 = x^3 - x: delta > 0 (the curves above all have delta < 0), with the
+# exact roots -1, 0, 1 and the lemniscate constant as its least real period.
+SQUARE = WeierstrassModel.from_ainvs([-1, 0])
+
 # Reference period values, quoted to the digits pinned in the tests.
 OMEGA_A = "1.29805532262"
 OMEGA_TWIST_A = "2.90253993995"

@@ -1,13 +1,16 @@
 """Each public entry point minimizes its curve once and builds each lattice
-once; a scan factors each twist parameter once, takes each curve's 2-adic
-signature once and builds each curve's own lattice once."""
+once, running only the AGMs of the periods it reads; a scan factors each
+twist parameter once, takes each curve's 2-adic signature once and builds
+each curve's own lattice, and each of its two periods, once."""
 
 import math
 import sys
 
 import pytest
 
-from helpers import CURVE_A, CURVE_B, CURVE_C, TWIST_A_D, TWIST_B_D, scan_records
+from helpers import (
+    CURVE_A, CURVE_B, CURVE_C, SQUARE, TWIST_A_D, TWIST_B_D, scan_records
+)
 from twistperiod import exact, minimality, periods, verification, weierstrass
 from twistperiod.minimality import ConsistencyError, minimal_model_of_twist, minimize
 from twistperiod.periods import PrecisionError, period_report
@@ -107,6 +110,26 @@ def test_period_report_builds_one_lattice(monkeypatch):
     assert len(minimize_calls) == 1
 
 
+def test_period_report_runs_one_agm_per_period(monkeypatch):
+    agms = count_calls(monkeypatch, periods._agm)
+    for curve in (SQUARE, CURVE_B):
+        report = period_report(curve, 128)
+        assert len(agms) == 0
+        payload = report.to_json_dict()
+        assert report.to_json_dict() == payload  # each period read twice
+        assert len(agms) == 2
+        agms.clear()
+
+
+@pytest.mark.parametrize("curve", [SQUARE, CURVE_A], ids=["delta>0", "delta<0"])
+@pytest.mark.parametrize("d", [5, -7])
+def test_verify_runs_two_agms_per_pair(monkeypatch, curve, d):
+    # Omega(E) if d > 0, else Omega^-(E), and Omega(E^d): one AGM each.
+    agms = count_calls(monkeypatch, periods._agm)
+    assert verify_twist_period_relation(curve, d).passed
+    assert len(agms) == 2
+
+
 def test_verify_raises_when_table_disagrees_with_minimization(monkeypatch):
     original = minimality.utilde_factor_at
 
@@ -149,6 +172,17 @@ def test_verified_scan_builds_each_curve_lattice_once(monkeypatch):
     for _, curve in curves:
         assert built.count(minimize(curve).minimal) == 1
     assert len(checks) == 1
+
+
+def test_verified_scan_runs_each_agm_at_most_once(monkeypatch):
+    # twists of both signs read Omega and Omega^- of each curve, once each,
+    # and Omega of each twist.
+    curves = [("alpha", CURVE_A), ("beta", CURVE_B), ("gamma", CURVE_C)]
+    twists = [5, -7, 10, -3]
+    agms = count_calls(monkeypatch, periods._agm)
+    records = scan_records(curves, twists, filter="all")
+    assert all(r["passed"] for r in records)
+    assert len(agms) <= 2 * len(curves) + len(records)
 
 
 def test_scan_gives_each_pair_of_a_curve_whose_lattice_fails_one_error(monkeypatch):

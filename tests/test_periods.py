@@ -14,6 +14,7 @@ from helpers import (
     OMEGA_MINUS_B,
     OMEGA_TWIST_A,
     OMEGA_TWIST_B,
+    SQUARE,
     TWIST_A_D,
     TWIST_B_D,
     random_minimal_model,
@@ -40,7 +41,6 @@ from twistperiod.twisting import twist
 from twistperiod.weierstrass import WeierstrassModel
 
 LEMNISCATE_DIGITS = "2.6220575542921198104648395898911194136827549514316"
-SQUARE = WeierstrassModel.from_ainvs([-1, 0])  # y^2 = x^3 - x, delta > 0
 
 
 def lemniscate() -> mp.mpf:
@@ -360,26 +360,123 @@ def test_lattice_agrees_with_twice_the_precision(bits):
         assert _agreeing_bits(low.omega_complex, high.omega_complex) >= bits, m
 
 
-def test_failed_root_certificate_retries_once_then_raises(monkeypatch):
+# The Newton step a planted root is made from takes its scale K as this
+# argument: _root(cubic, lo, hi, s, k, gap_bits), _trace_root(cubic, e1, e3, k).
+SCALE_ARGUMENT = {"_root": 4, "_trace_root": 3}
+
+
+@pytest.mark.parametrize(
+    "m, planted",
+    [
+        pytest.param(CURVE_A, "_root", id="delta<0-root"),
+        pytest.param(WeierstrassModel.from_ainvs([-7, 3]), "_trace_root",
+                     id="delta>0-trace-root"),
+    ],
+)
+def test_failed_root_certificate_retries_once_then_raises(monkeypatch, m, planted):
     # A root two units off fails its certificate: the roots are recomputed
     # once at twice the working precision, and a second failure raises.
-    original = periods._root
-    expected = lattice_periods(CURVE_A, 128).omega_real
+    original = getattr(periods, planted)
+    expected = lattice_periods(m, 128).omega_real
     scales = []
 
     def off_by_two(failing_calls):
-        def root(cubic, lo, hi, s, k, gap_bits):
-            scales.append(k)
+        def root(*args):
+            scales.append(args[SCALE_ARGUMENT[planted]])
             shift = 2 if len(scales) <= failing_calls else 0
-            return original(cubic, lo, hi, s, k, gap_bits) + shift
+            return original(*args) + shift
 
         return root
 
-    monkeypatch.setattr(periods, "_root", off_by_two(1))
-    assert _agreeing_bits(lattice_periods(CURVE_A, 128).omega_real, expected) >= 128
+    monkeypatch.setattr(periods, planted, off_by_two(1))
+    assert _agreeing_bits(lattice_periods(m, 128).omega_real, expected) >= 128
     assert len(scales) == 2 and scales[1] == 2 * scales[0]
     scales.clear()
-    monkeypatch.setattr(periods, "_root", off_by_two(2))
+    monkeypatch.setattr(periods, planted, off_by_two(2))
     with pytest.raises(PrecisionError):
-        lattice_periods(CURVE_A, 128)
+        lattice_periods(m, 128)
     assert len(scales) == 2
+
+
+def test_trace_root_is_within_one_unit_of_the_bisected_middle_root(monkeypatch):
+    # The middle root is e2 = -b2/4 - e1 - e3 and one Newton step; _root run
+    # on the bracket between the critical points, as e1 and e3 are, must
+    # land within one unit of it.
+    rng = random.Random(73)
+    models = [SQUARE, split_near_double(10**20)]
+    while len(models) < 32:
+        m = random_model(rng, bound=40)
+        if m.delta > 0:
+            models.append(m)
+    original = periods._root
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(periods, "_root", recorded)
+    for m in models:
+        for bits in (64, 128, 1024):
+            calls.clear()
+            lattice = lattice_periods(m, bits)
+            (cubic, high, _, s, k, gap_bits), (_, _, low, _, _, _) = calls
+            middle = original(cubic, low, high, s, k, gap_bits)
+            assert abs(lattice._roots[1] - middle) <= 1, (m, bits)
+
+
+def test_a_root_one_unit_above_an_exact_root_certifies(monkeypatch):
+    # SQUARE's roots -1, 0, 1 are exact at every scale. One unit above each,
+    # g(X - 1) = 0 exactly: the root certifies, as it did when the two
+    # values were multiplied, and two units above it does not.
+    expected = lattice_periods(SQUARE, 128)
+    cubic, k = expected._cubic, expected._k
+    assert expected._roots == (1 << k, 0, -(1 << k))
+    for root in expected._roots:
+        assert periods._certified(cubic, root + 1, k)
+        assert not periods._certified(cubic, root + 2, k)
+    original = periods._root
+    scales = []
+
+    def one_above(cubic, lo, hi, s, k, gap_bits):
+        scales.append(k)
+        return original(cubic, lo, hi, s, k, gap_bits) + 1
+
+    monkeypatch.setattr(periods, "_root", one_above)
+    lattice = lattice_periods(SQUARE, 128)
+    assert scales == [k, k]
+    assert lattice._roots == ((1 << k) + 1, 0, -(1 << k) + 1)
+    assert _agreeing_bits(lattice.omega_real, expected.omega_real) >= 128
+    assert _agreeing_bits(lattice.omega_complex, expected.omega_complex) >= 128
+
+
+# ---------------------------------------------------------------------------
+# Periods on demand
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [CURVE_A, SQUARE], ids=["delta<0", "delta>0"])
+def test_periods_read_later_keep_the_requested_precision(m):
+    # Each AGM runs on the first read of its period, here at a 30-bit
+    # ambient precision; the value must still agree with a 1024-bit
+    # recomputation to 500 bits.
+    report, lattice = period_report(m, 512), lattice_periods(m, 512)
+    with mp.workprec(30):
+        values = [report.omega, report.omega_minus, lattice.omega_real,
+                  lattice.omega_complex]
+    with mp.workprec(1100):
+        report, lattice = period_report(m, 1024), lattice_periods(m, 1024)
+        references = [report.omega, report.omega_minus, lattice.omega_real,
+                      lattice.omega_complex]
+        for value, reference in zip(values, references):
+            assert abs(value - reference) <= abs(reference) * mp.mpf(2) ** -500
+
+
+def test_lattices_and_reports_compare_by_value():
+    read, unread = lattice_periods(CURVE_A, 128), lattice_periods(CURVE_A, 128)
+    assert read.omega_real > 0
+    assert read == unread and hash(read) == hash(unread)
+    assert read != lattice_periods(CURVE_A, 192)
+    assert read != lattice_periods(CURVE_B, 128)
+    assert period_report(CURVE_B, 128) == period_report(CURVE_B, 128)
+    assert period_report(CURVE_B, 128) != period_report(CURVE_A, 128)

@@ -1,6 +1,5 @@
 """Numerical verification of the twisted-period relation, and bulk scans."""
 
-import dataclasses
 import io
 import json
 import os
@@ -91,7 +90,10 @@ def perturb_lhs(monkeypatch, curve, d, exponent):
             return report
         with mp.workprec(precision_bits + 64):
             omega = report.omega * (1 + mp.ldexp(1, exponent))
-        return dataclasses.replace(report, omega=omega)
+        # omega is computed on first read and kept in the instance's
+        # __dict__, where every later read finds it: replace the kept value.
+        vars(report)["omega"] = omega
+        return report
 
     monkeypatch.setattr(verification, "_periods", perturbed)
 
