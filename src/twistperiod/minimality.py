@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .exact import ExtendedValuation, factorize, odd_prime_divisors, vp
-from .twisting import twist
+from .twisting import _twist
 from .weierstrass import (
     PAdicSignature,
     Transformation,
@@ -347,8 +347,10 @@ def _minimal_twist(
     mm: WeierstrassModel, d: int, report: UTildeResult
 ) -> MinimalModelResult:
     """Minimize twist(mm, d) for a minimal model mm, cross-checked against the
-    table's report for (mm, d) as minimal_model_of_twist describes."""
-    twisted = twist(mm, d)
+    table's report for (mm, d) as minimal_model_of_twist describes. The
+    report's table has checked that d is square-free, so d is not factored
+    again."""
+    twisted = _twist(mm, d)
     result = minimize(twisted)
     if result.map.u != report.utilde:
         raise ConsistencyError(

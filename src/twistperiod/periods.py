@@ -35,10 +35,12 @@ c_inf * omega_real integrates |dx/Y| over the real locus; c_inf = 2 (two
 components) iff delta > 0. The sign of delta fixes the basis shape (Cohen,
 Alg. 7.4.7), so Omega^- = i*nu and (k1, k2) are read off it.
 
-lattice_periods isolates and certifies the roots at once, but runs each AGM
-only when its period is first read: omega_real for Omega, nu for Omega^-. So
-a twist relation, which reads Omega or Omega^- of a curve and Omega of its
-twist, runs two AGMs, not four.
+lattice_periods isolates and certifies the roots at once and returns them as
+a PeriodReport, which runs each AGM only when its period is first read:
+omega_real for Omega, nu for Omega^-. So a twist relation, which reads Omega
+or Omega^- of a curve and Omega of its twist, runs two AGMs, not four.
+period_report reads the same off the canonical minimal model, so isomorphic
+models give equal reports.
 """
 
 from __future__ import annotations
@@ -80,35 +82,21 @@ def _nstr(x, precision_bits: int) -> str:
     return mp.nstr(x, ceil(precision_bits * log10(2)) + 1)
 
 
-class _ByValue:
-    """Equality and hash by the values `_VALUES` names, each read (and so
-    computed, if it is lazy) when compared."""
-
-    _VALUES: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._VALUES)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-
-@dataclass(frozen=True, eq=False)
-class PeriodLattice(_ByValue):
-    """A period lattice basis: omega_real, the least positive real period,
-    and omega_complex, i*nu (real part exactly 0) when delta > 0 and
-    (-omega_real + i*nu)/2 otherwise; i*nu generates the imaginary periods.
+@dataclass(frozen=True)
+class PeriodReport:
+    """The period lattice of one model and everything the periods CLI
+    command exposes of it.
 
     lattice_periods builds it from g's certified roots `_roots` at scale
     2^`_k`, g having the integer coefficients `_cubic` and 16*delta `_disc`,
-    and the model `_scale` times g's periods. omega_real and nu each run
-    their AGM on first read, at precision_bits + GUARD_BITS whatever mpmath's
-    ambient precision, and keep the value."""
+    and the model `_scale` times g's periods. c_inf and (k1, k2) follow the
+    sign of delta, with no AGM. omega_real, the least positive real period,
+    and nu each run their AGM on first read, at precision_bits + GUARD_BITS
+    whatever mpmath's ambient precision, and keep the value. The basis is
+    (omega_real, omega_complex), omega_complex being i*nu (real part exactly
+    0) when delta > 0 and (-omega_real + i*nu)/2 otherwise; Omega =
+    c_inf*omega_real and Omega^- = i*nu = k1*omega_complex - k2*omega_real.
+    Equality and hash compare the integer data, so they run no AGM."""
 
     precision_bits: int
     _cubic: tuple[int, int, int]
@@ -117,7 +105,17 @@ class PeriodLattice(_ByValue):
     _k: int
     _scale: int
 
-    _VALUES = ("omega_real", "omega_complex", "precision_bits")
+    @property
+    def c_inf(self) -> int:
+        return 2 if self._disc > 0 else 1
+
+    @property
+    def k1(self) -> int:
+        return 1 if self._disc > 0 else 2
+
+    @property
+    def k2(self) -> int:
+        return 0 if self._disc > 0 else -1
 
     @cached_property
     def omega_real(self) -> mpf:
@@ -133,6 +131,17 @@ class PeriodLattice(_ByValue):
             if self._disc > 0:
                 return mpc(0, self._nu)
             return mpc(-self.omega_real / 2, self._nu / 2)
+
+    @cached_property
+    def omega(self) -> mpf:
+        # c_inf is 1 or 2: an exact shift, at no precision
+        return mp.ldexp(self.omega_real, self.c_inf - 1)
+
+    @cached_property
+    def omega_minus(self) -> mpc:
+        # i*nu is k1*Im(omega_complex) exactly: nu/2 doubles without rounding
+        with mp.workprec(self.precision_bits + GUARD_BITS):
+            return mpc(0, self._nu)
 
     def _period(self, imaginary: bool) -> mpf:
         """omega_real, or nu if imaginary: scale*pi over one real AGM."""
@@ -155,33 +164,6 @@ class PeriodLattice(_ByValue):
             mean = _agm(2 * isqrt(beta << k), b)
         with mp.workprec(self.precision_bits + GUARD_BITS):
             return mp.ldexp(self._scale * mp.pi / mean, k)
-
-
-@dataclass(frozen=True, eq=False)
-class PeriodReport(_ByValue):
-    """Everything the periods CLI command exposes for one curve: Omega =
-    c_inf*omega_real and Omega^- = i*nu = k1*omega_complex - k2*omega_real,
-    each read off the lattice (and its one AGM run) on first use; c_inf and
-    (k1, k2) follow the sign of delta, with no AGM."""
-
-    c_inf: int
-    k1: int
-    k2: int
-    precision_bits: int
-    _lattice: PeriodLattice
-
-    _VALUES = ("omega", "omega_minus", "c_inf", "k1", "k2", "precision_bits")
-
-    @cached_property
-    def omega(self) -> mpf:
-        with mp.workprec(self.precision_bits + GUARD_BITS):
-            return self.c_inf * self._lattice.omega_real
-
-    @cached_property
-    def omega_minus(self) -> mpc:
-        # i*nu is k1*Im(omega_complex) exactly: nu/2 doubles without rounding
-        with mp.workprec(self.precision_bits + GUARD_BITS):
-            return mpc(0, self._lattice._nu)
 
     def to_json_dict(self) -> dict:
         return {
@@ -296,8 +278,9 @@ def _agm(a: int, b: int) -> int:
 
 def lattice_periods(
     m: WeierstrassModel, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> PeriodLattice:
-    """A period lattice basis for the model m itself (no minimization)."""
+) -> PeriodReport:
+    """The period lattice of the model m itself (no minimization), its roots
+    certified at once and each period computed when first read."""
     precision_bits = _check_precision(precision_bits)
     inv = m.invariants
     scale = lcm(inv.b2.denominator, inv.b4.denominator, inv.b6.denominator)
@@ -306,34 +289,25 @@ def lattice_periods(
     )
     disc = int(16 * inv.delta * scale**12)
     roots, k = _real_roots(cubic, disc, precision_bits)
-    return PeriodLattice(
+    return PeriodReport(
         precision_bits, cubic, disc, roots, k, scale if disc > 0 else 2 * scale
     )
-
-
-def _periods(m: WeierstrassModel, precision_bits: int) -> PeriodReport:
-    """Omega and Omega^- of m itself (no minimization), from one lattice;
-    c_inf and (k1, k2) follow sign(delta)."""
-    lattice = lattice_periods(m, precision_bits)
-    c_inf = real_components(m)
-    k1, k2 = (1, 0) if c_inf == 2 else (2, -1)
-    return PeriodReport(c_inf, k1, k2, lattice.precision_bits, lattice)
 
 
 def period_report(
     m: WeierstrassModel, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> PeriodReport:
-    """Real period, imaginary period and component count for one curve,
-    all from one lattice of its minimal model; each period runs its AGM when
-    first read."""
-    return _periods(minimize(m).minimal, precision_bits)
+    """lattice_periods of the canonical minimal model of m: real period,
+    imaginary period and component count of the curve, equal for isomorphic
+    models."""
+    return lattice_periods(minimize(m).minimal, precision_bits)
 
 
 def raw_real_period(
     m: WeierstrassModel, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> mpf:
     """Integral of |dx/(2y + a1*x + a3)| over the real locus of m itself."""
-    return _periods(m, precision_bits).omega
+    return lattice_periods(m, precision_bits).omega
 
 
 def real_period(

@@ -26,6 +26,11 @@ def twist(m: WeierstrassModel, d: int) -> WeierstrassModel:
     d = operator.index(d)
     if not is_square_free(d):
         raise ValueError(f"twist parameter d = {d} must be square-free")
+    return _twist(m, d)
+
+
+def _twist(m: WeierstrassModel, d: int) -> WeierstrassModel:
+    """twist for an integer d already known to be square-free."""
     a1, a2, a3, a4, a6 = m.ainvs
     return WeierstrassModel(
         a1,

@@ -37,7 +37,7 @@ from .periods import (
     PeriodReport,
     _check_precision,
     _nstr,
-    _periods,
+    lattice_periods,
 )
 from .weierstrass import WeierstrassModel
 
@@ -86,7 +86,8 @@ def verify_twist_period_relation(
     precision_bits = _check_precision(precision_bits)
     minimal = minimize(m).minimal
     report = _utilde_table(minimal, d)
-    return _verify(m, minimal, d, report, _periods(minimal, precision_bits))
+    periods = lattice_periods(minimal, precision_bits)
+    return _verify(m, minimal, d, report, periods)
 
 
 def _verify(
@@ -106,7 +107,7 @@ def _verify(
     2^-p with more than 12 bits to spare, and a gap of 2^-(p-2) fails it."""
     precision_bits = periods.precision_bits
     twist_minimal = _minimal_twist(minimal, d, report).minimal
-    twist_periods = _periods(twist_minimal, precision_bits)
+    twist_periods = lattice_periods(twist_minimal, precision_bits)
     with mp.workprec(precision_bits + 16):
         utilde = mpf(report.utilde.numerator) / report.utilde.denominator
         lhs = twist_periods.omega
@@ -323,7 +324,9 @@ def scan(
                     record.update(report.to_json_dict())
                     if filter_fn(report):
                         periods = _once(
-                            known, "periods", lambda: _periods(mm, precision_bits)
+                            known,
+                            "periods",
+                            lambda: lattice_periods(mm, precision_bits),
                         )
                         verification = _verify(model, mm, d, report, periods)
                         vdict = verification.to_json_dict()

@@ -31,8 +31,14 @@ class SingularCurveError(ValueError):
 
 
 def _coerce(x: Rational) -> Fraction:
+    """x as a Fraction. A string is "n" or "n/d" with integer n and d, each
+    read by int(), whose digit limit bounds the work: exponent and decimal
+    forms such as "1e5" or "0.5" raise ValueError."""
     if isinstance(x, (float, bool)):
         raise TypeError(f"coefficients must be exact rationals, got {x!r}")
+    if isinstance(x, str):
+        num, slash, den = x.partition("/")
+        return Fraction(int(num), int(den) if slash else 1)
     return Fraction(x)
 
 

@@ -150,6 +150,10 @@ def test_exit_code_parse_error(capsys):
     code, _, err = run_cli(capsys, "invariants", '["1/0", 0, 0, 1, 1]')
     assert code == 2
     assert json.loads(err)["error"] == "ParseError"
+    # nor exponent notation, which would be expanded digit by digit
+    code, _, err = run_cli(capsys, "invariants", '["1e1000000",0,0,1,0]')
+    assert code == 2
+    assert json.loads(err)["error"] == "ParseError"
 
 
 def test_exit_code_singular_curve(capsys):
@@ -367,6 +371,28 @@ def test_scan_records_an_undecodable_line_and_goes_on(capsys, tmp_path):
     written = results.read_bytes()
     assert run_cli(capsys, *argv)[0] == 0
     assert results.read_bytes() == written
+
+
+def test_scan_records_an_exponent_coefficient_and_goes_on(capsys, tmp_path):
+    good = ['{"label": "a", "curve": [0,0,0,-1,0]}',
+            '{"label": "c", "curve": [0,0,0,1,1]}']
+    bad = '{"label": "b", "curve": ["1e1000000",0,0,1,0]}'
+
+    def scan_file(lines):
+        source = tmp_path / "curves.jsonl"
+        source.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(
+            capsys, "scan", str(source), "--twists", "5", "-7", "--filter", "all"
+        )
+        assert code == 0, err
+        return [json.loads(line) for line in out.splitlines()]
+
+    expected = scan_file(good)
+    records = scan_file([good[0], bad, good[1]])
+    errors = [r for r in records if "error" in r]
+    assert [(r["label"], r["d"]) for r in errors] == [("b", None)]
+    assert errors[0]["error"].startswith("ValueError: ")
+    assert [r for r in records if "error" not in r] == expected
 
 
 def readme_examples() -> list[tuple[list[str], str]]:

@@ -51,14 +51,28 @@ def test_scan_minimizes_once_per_curve(monkeypatch):
     assert len(calls) == len(curves)
 
 
-def test_scan_factors_each_d_once(monkeypatch):
+LARGE_D = 1_000_003 * 1_000_033
+
+
+@pytest.mark.parametrize("filter", ["none", "all"])
+def test_scan_factors_each_d_once(monkeypatch, filter):
+    # verified pairs build the minimal twist from the d the table checked,
+    # without factoring it again
     curves = [("alpha", CURVE_A), ("beta", CURVE_B), ("gamma", CURVE_A)]
-    twists = [1, 5, -7, 10, 1_000_003 * 1_000_033]
+    twists = [1, 5, -7, 10, LARGE_D]
     calls = count_calls(monkeypatch, exact.odd_prime_divisors)
-    records = scan_records(curves, twists, filter="none")
+    factorizations = count_calls(monkeypatch, exact.factorize)
+    records = scan_records(curves, twists, filter=filter)
     assert len(records) == len(curves) * len(twists)
     assert not any("error" in r for r in records)
     assert sorted(args[0] for args in calls) == sorted(twists)
+    assert [args[0] for args in factorizations].count(LARGE_D) == 1
+
+
+def test_verify_factors_d_once(monkeypatch):
+    factorizations = count_calls(monkeypatch, exact.factorize)
+    assert verify_twist_period_relation(CURVE_A, -LARGE_D).passed
+    assert [args[0] for args in factorizations].count(LARGE_D) == 1
 
 
 def test_scan_gives_each_bad_d_one_error_record_per_curve(monkeypatch):
@@ -108,6 +122,16 @@ def test_period_report_builds_one_lattice(monkeypatch):
     assert (report.k1, report.k2) == (2, -1)
     assert len(lattice_calls) == 1
     assert len(minimize_calls) == 1
+
+
+def test_reports_compare_and_hash_without_an_agm(monkeypatch):
+    agms = count_calls(monkeypatch, periods._agm)
+    for curve in (SQUARE, CURVE_A):
+        report = period_report(curve, 128)
+        lattice = periods.lattice_periods(minimize(curve).minimal, 128)
+        assert report == lattice and hash(report) == hash(lattice)
+        assert report != period_report(curve, 192)
+    assert len(agms) == 0
 
 
 def test_period_report_runs_one_agm_per_period(monkeypatch):
@@ -190,7 +214,7 @@ def test_scan_gives_each_pair_of_a_curve_whose_lattice_fails_one_error(monkeypat
     twists = [5, -7, 10, -3]
     expected = scan_records(curves, twists, filter="all")
     broken = minimize(CURVE_B).minimal
-    original = periods.lattice_periods
+    original = verification.lattice_periods
     attempts = []
 
     def failing_for_beta(m, precision_bits):
@@ -199,7 +223,7 @@ def test_scan_gives_each_pair_of_a_curve_whose_lattice_fails_one_error(monkeypat
             raise PrecisionError("planted")
         return original(m, precision_bits)
 
-    monkeypatch.setattr(periods, "lattice_periods", failing_for_beta)
+    monkeypatch.setattr(verification, "lattice_periods", failing_for_beta)
     records = scan_records(curves, twists, filter="all")
     assert len(attempts) == 1
     assert [r for r in records if r["label"] == "alpha"] == [

@@ -5,7 +5,7 @@ import random
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from helpers import (
     CURVE_A,
@@ -22,7 +22,7 @@ from helpers import (
     random_transformation,
     scan_records,
 )
-from strategies import integral_models
+from strategies import integral_models, transformations
 from quadrature_oracle import quadrature_real_period
 from twistperiod import periods
 from twistperiod.minimality import minimal_model_of_twist
@@ -38,7 +38,7 @@ from twistperiod.periods import (
 )
 from twistperiod.verification import verify_twist_period_relation
 from twistperiod.twisting import twist
-from twistperiod.weierstrass import WeierstrassModel
+from twistperiod.weierstrass import Transformation, WeierstrassModel
 
 LEMNISCATE_DIGITS = "2.6220575542921198104648395898911194136827549514316"
 
@@ -333,8 +333,10 @@ def test_periods_need_neither_polyroots_nor_complex_agm(monkeypatch):
 
     def run():
         lattices = [lattice_periods(m, bits) for m in curves for bits in (128, 1024)]
+        # equality reads no period: read both, so that their AGMs run here
+        read = [(lattice.omega_real, lattice.omega_complex) for lattice in lattices]
         verified = [verify_twist_period_relation(m, d) for m, d in pairs]
-        return lattices, verified, scan_records(labelled, [-7, -1, 5], filter="all")
+        return read, verified, scan_records(labelled, [-7, -1, 5], filter="all")
 
     expected = run()
 
@@ -472,11 +474,31 @@ def test_periods_read_later_keep_the_requested_precision(m):
             assert abs(value - reference) <= abs(reference) * mp.mpf(2) ** -500
 
 
-def test_lattices_and_reports_compare_by_value():
+def test_reports_compare_by_their_certified_integer_data():
     read, unread = lattice_periods(CURVE_A, 128), lattice_periods(CURVE_A, 128)
     assert read.omega_real > 0
     assert read == unread and hash(read) == hash(unread)
     assert read != lattice_periods(CURVE_A, 192)
     assert read != lattice_periods(CURVE_B, 128)
+    # x -> x + 1 keeps the lattice but changes the cubic: lattice_periods of
+    # the two models differ, period_report reads one minimal model for both
+    moved = Transformation(1, 1, 0, 0).apply(CURVE_A)
+    shifted = lattice_periods(moved, 128)
+    assert shifted != read
+    assert _agreeing_bits(shifted.omega_real, read.omega_real) >= 128
+    assert period_report(moved, 128) == period_report(CURVE_A, 128)
     assert period_report(CURVE_B, 128) == period_report(CURVE_B, 128)
     assert period_report(CURVE_B, 128) != period_report(CURVE_A, 128)
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["delta>0", "delta<0"])
+@given(m=integral_models(bound=10), t=transformations())
+@settings(max_examples=25, deadline=None)
+def test_one_report_per_lattice(sign, m, t):
+    # c_inf and (k1, k2) are read off the sign of delta, and isomorphic
+    # models give one report
+    assume(sign * m.delta > 0)
+    lattice = lattice_periods(m, 64)
+    assert lattice.c_inf == real_components(m)
+    assert (lattice.k1, lattice.k2) == ((1, 0) if sign > 0 else (2, -1))
+    assert period_report(t.apply(m), 64) == period_report(m, 64)

@@ -82,7 +82,7 @@ def perturb_lhs(monkeypatch, curve, d, exponent):
     relation for (curve, d), by 1 + 2^exponent wherever verification reads
     it."""
     twist_minimal = minimal_model_of_twist(curve, d)[0].minimal
-    original = verification._periods
+    original = verification.lattice_periods
 
     def perturbed(m, precision_bits):
         report = original(m, precision_bits)
@@ -95,7 +95,7 @@ def perturb_lhs(monkeypatch, curve, d, exponent):
         vars(report)["omega"] = omega
         return report
 
-    monkeypatch.setattr(verification, "_periods", perturbed)
+    monkeypatch.setattr(verification, "lattice_periods", perturbed)
 
 
 @pytest.mark.parametrize("bits", [64, 128, 512])

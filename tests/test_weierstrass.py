@@ -1,6 +1,7 @@
 """Models, invariants, p-adic signatures and coordinate changes."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,27 @@ def test_from_ainvs_takes_only_lists_and_tuples():
     for bad in ("12345", "12", {"curve": [-1, 0]}, iter([-1, 0]), 12):
         with pytest.raises(ValueError):
             WeierstrassModel.from_ainvs(bad)
+
+
+def test_coefficient_strings_are_integers_or_integer_ratios():
+    assert WeierstrassModel.from_ainvs(["-3/4", " 5 ", 0, "1_000", "-2/6"]) == (
+        WeierstrassModel(Fraction(-3, 4), 5, 0, 1000, Fraction(-1, 3))
+    )
+    for bad in ("1e5", "0.5", "1/2/3", "", "x"):
+        with pytest.raises(ValueError):
+            WeierstrassModel.from_ainvs([0, 0, 0, bad, 1])
+    with pytest.raises(ZeroDivisionError):
+        WeierstrassModel.from_ainvs(["1/0", 0, 0, 1, 1])
+
+
+def test_parsing_a_coefficient_string_is_bounded():
+    # exponent notation is not expanded, and int() refuses over-long digit
+    # strings, so one coefficient cannot stall the parse
+    for text in ("1e100000", "1e1000000", "9" * 100_000, "1/" + "7" * 100_000):
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            WeierstrassModel.from_ainvs([text, 0, 0, 1, 0])
+        assert time.perf_counter() - start < 1, text
 
 
 def test_json_round_trip():
