@@ -223,17 +223,25 @@ def _kraus_at_2(c4: int, c6: int) -> bool:
     return c6 % 4 == 3 or (c4 % 16 == 0 and c6 % 32 in (0, 8))
 
 
-def _candidate_primes(c4: int, c6: int) -> list[int]:
+def _candidate_primes(c4: int, c6: int, known=()) -> list[int]:
     """Primes that could divide the minimization scale u.
 
     Such p satisfy p^4 | c4 and p^6 | c6, so p divides gcd(c4, c6) when both
-    are nonzero; only one of them can vanish.
+    are nonzero; only one of them can vanish. The primes in `known` are
+    divided out first and only the cofactor left is factored, so a prime
+    missing from `known` costs time, never a wrong answer.
     """
     if c4 != 0 and c6 != 0:
         base = math.gcd(abs(c4), abs(c6))
     else:
         base = abs(c6) if c4 == 0 else abs(c4)
-    return sorted(factorize(base)) if base > 1 else []
+    primes = [p for p in known if base % p == 0]
+    for p in primes:
+        while base % p == 0:
+            base //= p
+    if base > 1:
+        primes.extend(factorize(base))
+    return sorted(primes)
 
 
 def _reduction_exponent(p: int, c4: int, c6: int, delta: int) -> int:
@@ -315,16 +323,22 @@ def minimize(m: WeierstrassModel) -> MinimalModelResult:
     from the reduced (c4, c6). n need not be the least integralizing scale:
     the strip removes any excess, and the map's scale is u / n either way.
     Idempotent, and the map scale is 1 exactly when m is already minimal.
+
+    Primes kept on m as `_known_primes` are divided out before the rest of
+    gcd(c4, c6) is factored, and the minimal model keeps the primes found
+    (those of its own gcd(c4, c6) among them) in the same way.
     """
     n = math.lcm(*(a.denominator for a in m.ainvs))
     inv = m.invariants
     c4, c6, delta = int(inv.c4 * n**4), int(inv.c6 * n**6), int(inv.delta * n**12)
+    primes = _candidate_primes(c4, c6, m.__dict__.get("_known_primes", ()))
     u_red = 1
-    for p in _candidate_primes(c4, c6):
+    for p in primes:
         e = _reduction_exponent(p, c4, c6, delta)
         if e:
             u_red *= p**e
     minimal = _model_from_c4c6(c4 // u_red**4, c6 // u_red**6)
+    object.__setattr__(minimal, "_known_primes", primes)
     mapping = _solve_transformation(m, minimal, Fraction(u_red, n))
     return MinimalModelResult(minimal=minimal, map=mapping)
 
@@ -348,9 +362,14 @@ def _minimal_twist(
 ) -> MinimalModelResult:
     """Minimize twist(mm, d) for a minimal model mm, cross-checked against the
     table's report for (mm, d) as minimal_model_of_twist describes. The
-    report's table has checked that d is square-free, so d is not factored
-    again."""
+    report's table has checked that d is square-free and found its primes,
+    so neither d nor the twist's gcd(c4, c6) is factored again."""
     twisted = _twist(mm, d)
+    # Scaled to integers, the twist's gcd(c4, c6) has its primes among 2, those
+    # of d (the report's primes) and those of gcd(c4, c6) of mm, which mm
+    # keeps when minimize made it.
+    known = {*report.per_prime, *mm.__dict__.get("_known_primes", ())}
+    object.__setattr__(twisted, "_known_primes", known)
     result = minimize(twisted)
     if result.map.u != report.utilde:
         raise ConsistencyError(

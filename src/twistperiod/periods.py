@@ -21,15 +21,30 @@ bound on the bit lengths of b2, b4, b6) and each gap between roots exceeds
 2^(r+1). Bisection on integers scaled by 2^(G+8) isolates the real root
 (delta < 0), or e1 and e3 beyond the critical points (-b2 +- isqrt(c4))/12
 (delta > 0), and Newton steps doubling the precision (Brent-Zimmermann, Modern
-Computer Arithmetic, 4.2) refine it. The middle root comes from the trace: the
+Computer Arithmetic, 4.2) refine it. With V_k(x) = 2^(3k) g(x/2^k) and V'_k
+its slope, V_k(y 2^u) = 2^(3u) V_s(y) and V'_k(y 2^u) = 2^(2u) V'_s(y) for
+u = k - s, so the step from y at scale 2^s to scale 2^k,
+y 2^u - (2^(u+1) V_s(y) + V'_s(y)) // (2 V'_s(y)), is the step at scale 2^k
+from operands about half as long. The middle root comes from the trace: the
 roots sum to -b2/4, so -b2/4 - e1 - e3 errs by at most two units, and one
 Newton step at scale K (2(K-1) >= K + G + 3) ends within one. A root X is
-certified when g(X-1) and g(X+1), evaluated exactly, do not have the same
-strict sign (a zero certifies, as it would make their product 0); else the
-roots are recomputed once with K and G raised by K, then PrecisionError is
-raised. Then a gap errs by two units on a value above 2^-G, beta^2 by 2*beta
-units, sqrt(2beta -+ alpha) exceeds 2^-(G + r/2 + 2), and an AGM of n steps
-adds n units: each period keeps more than p + 16 correct bits.
+certified when V_K(X-1) and V_K(X+1), exact, do not have the same strict sign
+(a zero certifies, as it would make their product 0); g having leading
+coefficient 4, both are V_K(X) +- V'_K(X) + (12X + b2 2^K) +- 4, one
+evaluation at X. Else the roots are recomputed once with K and G raised by K,
+then PrecisionError is raised. Then a gap errs by two units on a value above
+2^-G, beta^2 by 2*beta units, sqrt(2beta -+ alpha) exceeds 2^-(G + r/2 + 2).
+The smaller of 2beta +- alpha enters as its square root
+isqrt(-disc 2^2K) / (16 beta^2 isqrt(wide 2^K)), wide the larger, a quotient
+taken with its divisor cut to 64 bits beyond its length (at most one unit
+off): beta^2 and wide err relatively by under 2^(G+3-K), isqrt(wide 2^K) by a
+unit on a value above 2^(K - G/2), and the floored quotient by two units on a
+root above 2^-(G + r/2 + 2), so the root errs relatively by under
+2^(G + r/2 + 5 - K). An AGM of n isqrt steps adds n units, and its
+end two more: once c^4 < m^3 for m = (a+b)/2 and c = a - b, it returns
+m - c^2/(16m), M(a, b) less a term below 5/1024 of a unit, with a half unit
+from m and one from the floor. So each period keeps more than p + 16 correct
+bits.
 
 c_inf * omega_real integrates |dx/Y| over the real locus; c_inf = 2 (two
 components) iff delta > 0. The sign of delta fixes the basis shape (Cohen,
@@ -157,10 +172,11 @@ class PeriodReport:
             beta = isqrt(3 * e1 * e1 + ((b2 * e1) << (k - 1)) + (b4 << (2 * k - 1)))
             alpha = 3 * e1 + (b2 << (k - 2))
             wide = 2 * beta + abs(alpha)
-            if (alpha >= 0) != imaginary:  # the larger of 2beta +- alpha
-                b = isqrt(wide << k)
-            else:  # the smaller, -disc / (256 beta^4 wide)
-                b = isqrt((-self._disc << (7 * k)) // ((beta**4 * wide) << 8))
+            b = isqrt(wide << k)  # sqrt of the larger of 2beta +- alpha
+            if (alpha >= 0) == imaginary:  # the smaller, sqrt(-disc) / (16 beta^2 b)
+                b = _quotient(
+                    isqrt(-self._disc << (2 * k)) << (3 * k), (beta * beta * b) << 4
+                )
             mean = _agm(2 * isqrt(beta << k), b)
         with mp.workprec(self.precision_bits + GUARD_BITS):
             return mp.ldexp(self._scale * mp.pi / mean, k)
@@ -207,11 +223,22 @@ def _value(cubic, x: int, k: int) -> int:
     return ((4 * x + (b2 << k)) * x + (b4 << (2 * k + 1))) * x + (b6 << (3 * k))
 
 
-def _newton(cubic, x: int, k: int) -> int:
-    """One Newton step for g from x at scale 2^k, rounded to a unit."""
-    b2, b4, _ = cubic
-    slope = (12 * x + (b2 << (k + 1))) * x + (b4 << (2 * k + 1))
-    return x - (2 * _value(cubic, x, k) + slope) // (2 * slope)
+def _value_and_slope(cubic, x: int, k: int) -> tuple[int, int]:
+    """2^(3k) * g(x / 2^k) and 2^(2k) * g'(x / 2^k), exactly, sharing x^2."""
+    b2, b4, b6 = cubic
+    square = (4 * x + (b2 << k)) * x
+    linear = square + (b4 << (2 * k + 1))
+    return linear * x + (b6 << (3 * k)), linear + 2 * square - ((b2 * x) << k)
+
+
+def _newton(cubic, y: int, s: int, k: int) -> int:
+    """One Newton step for g from y at scale 2^s, rounded to a unit 2^-k
+    (k >= s): the step from x = y * 2^(k-s) at scale 2^k, computed at scale
+    2^s, as g's values there are 2^(3(k-s)) and its slopes 2^(2(k-s)) times
+    smaller."""
+    value, slope = _value_and_slope(cubic, y, s)
+    u = k - s
+    return (y << u) - ((value << (u + 1)) + slope) // (2 * slope)
 
 
 def _root(cubic, lo: int, hi: int, s: int, k: int, gap_bits: int) -> int:
@@ -226,7 +253,7 @@ def _root(cubic, lo: int, hi: int, s: int, k: int, gap_bits: int) -> int:
     while (scales[-1] + gap_bits + 4) // 2 > s:
         scales.append((scales[-1] + gap_bits + 4) // 2)
     for k in reversed(scales):
-        lo = _newton(cubic, lo << (k - s), k)
+        lo = _newton(cubic, lo, s, k)
         s = k
     return lo
 
@@ -236,13 +263,18 @@ def _trace_root(cubic, e1: int, e3: int, k: int) -> int:
     the three roots sum to -b2/4, so the start errs by at most two units
     2^-(k-1), and as 2(k-1) >= k + G + 3 (k = p + 32 + r + G), one Newton
     step ends within one unit, as in _root."""
-    return _newton(cubic, -(cubic[0] << (k - 2)) - e1 - e3, k)
+    return _newton(cubic, -(cubic[0] << (k - 2)) - e1 - e3, k, k)
 
 
 def _certified(cubic, x: int, k: int) -> bool:
-    """True when g(x - 1) and g(x + 1), evaluated exactly at scale 2^k, do
-    not share a strict sign, so that a root lies within one unit of x."""
-    below, above = _value(cubic, x - 1, k), _value(cubic, x + 1, k)
+    """True when g(x - 1) and g(x + 1), exact at scale 2^k, do not share a
+    strict sign, so that a root lies within one unit of x. Both come from
+    one evaluation at x: for V(x) = 2^(3k) g(x / 2^k), a cubic with leading
+    coefficient 4, V(x +- 1) = V(x) +- V'(x) + (12x + b2*2^k) +- 4."""
+    value, slope = _value_and_slope(cubic, x, k)
+    curvature = 12 * x + (cubic[0] << k)
+    below = value - slope + curvature - 4
+    above = value + slope + curvature + 4
     return min(below, above) <= 0 <= max(below, above)
 
 
@@ -270,10 +302,23 @@ def _real_roots(cubic, disc: int, precision_bits: int):
 
 
 def _agm(a: int, b: int) -> int:
-    """The AGM of two positive numbers at one fixed-point scale."""
-    while abs(a - b) > 1:
-        a, b = (a + b) >> 1, isqrt(a * b)
-    return a
+    """The AGM of two positive numbers at one fixed-point scale. With
+    m = (a + b)/2 and c = a - b, M(a, b) = m - c^2/(16m) - 5c^4/(1024m^3) - ...,
+    so once c^4 < m^3 (in units) the first two terms end it."""
+    for _ in range(_AGM_MAX_ITERATIONS):
+        m, c = (a + b) >> 1, a - b
+        if 4 * c.bit_length() <= 3 * (m.bit_length() - 1):
+            return m - c * c // (16 * m)
+        a, b = m, isqrt(a * b)
+    raise PrecisionError("AGM did not converge within the iteration budget")
+
+
+def _quotient(n: int, d: int) -> int:
+    """n // d for n >= d > 0, to within one unit: the divisor is cut to 64
+    bits beyond the quotient's length, so the exact ratio moves by less than
+    2^-62."""
+    cut = max(0, 2 * d.bit_length() - n.bit_length() - 65)
+    return (n >> cut) // (d >> cut)
 
 
 def lattice_periods(

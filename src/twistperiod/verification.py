@@ -26,9 +26,11 @@ import os
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from math import isqrt
 from typing import Callable, Hashable, Iterable, Optional, TextIO
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
 from .exact import odd_prime_divisors
 from .minimality import UTildeResult, _minimal_twist, _utilde_table, minimize
@@ -102,26 +104,29 @@ def _verify(
     precision p is checked.
 
     Each period is certified to more than p + 16 bits, and each side takes at
-    most a few roundings at p + 16 bits more, so each side is within about
-    2^-(p+13) of its true value. A true relation therefore passes the bound
-    2^-p with more than 12 bits to spare, and a gap of 2^-(p-2) fails it."""
+    most a few roundings at p + 16 bits more (sqrt|d| among them, rounded
+    correctly as mp.sqrt would), so each side is within about 2^-(p+13) of its
+    true value. `passed` compares |lhs - rhs| * 2^p with |rhs| exactly, so a
+    true relation passes with more than 12 bits to spare, and a gap of
+    2^-(p-2) fails. abs_rel_error, |lhs - rhs| / |rhs|, is divided at 64 bits:
+    it is printed to 8 digits and decides nothing."""
     precision_bits = periods.precision_bits
     twist_minimal = _minimal_twist(minimal, d, report).minimal
     twist_periods = lattice_periods(twist_minimal, precision_bits)
     with mp.workprec(precision_bits + 16):
         utilde = mpf(report.utilde.numerator) / report.utilde.denominator
         lhs = twist_periods.omega
+        root = _sqrt(abs(d), precision_bits + 16)
         if d > 0:
-            rhs = utilde / mp.sqrt(d) * periods.omega
+            rhs = utilde / root * periods.omega
         else:
             rhs = (
-                utilde
-                / mp.sqrt(-d)
-                * twist_periods.c_inf
-                * abs(mp.im(periods.omega_minus))
+                utilde / root * twist_periods.c_inf * abs(mp.im(periods.omega_minus))
             )
-        abs_rel_error = abs(lhs - rhs) / abs(rhs)
-        passed = bool(abs_rel_error <= mp.ldexp(1, -precision_bits))
+        gap, size = abs(lhs - rhs), abs(rhs)
+        passed = bool(mp.ldexp(gap, precision_bits) <= size)
+    with mp.workprec(64):
+        abs_rel_error = gap / size
     return VerificationReport(
         curve=curve,
         d=d,
@@ -133,6 +138,18 @@ def _verify(
         passed=passed,
         precision_bits=precision_bits,
     )
+
+
+def _sqrt(n: int, precision_bits: int) -> mpf:
+    """mp.sqrt(n) for an integer n >= 1, bit for bit, by math.isqrt: the root
+    truncated to at least precision_bits + 2 bits, a sticky last bit when it
+    is inexact, then one rounding to nearest, as mpmath's mpf_sqrt does."""
+    shift = max(4, 2 * precision_bits - n.bit_length() + 4)
+    shift += shift & 1
+    root = isqrt(n << shift)
+    if root * root != n << shift:
+        root, shift = 2 * root + 1, shift + 2
+    return mp.make_mpf(from_man_exp(root, -(shift // 2), precision_bits, "n"))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from strategies import integral_models, square_free_ints
 from twistperiod.exact import vp
 from twistperiod.minimality import (
     CASE_LABELS,
+    _candidate_primes,
     compute_utilde,
     minimal_model_of_twist,
     minimize,
@@ -200,6 +201,23 @@ def test_minimize_properties(m):
     again = minimize(minimal)
     assert again.minimal == minimal
     assert is_identity(again.map)
+
+
+SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 1_000_003]
+
+
+@given(
+    shared=st.lists(st.sampled_from(SMALL_PRIMES), max_size=6).map(math.prod),
+    x=st.integers(-(10**6), 10**6).filter(bool),
+    y=st.integers(-(10**6), 10**6),
+    known=st.lists(st.sampled_from(SMALL_PRIMES), unique=True),
+)
+@settings(max_examples=200, deadline=None)
+def test_known_primes_change_no_candidate_prime(shared, x, y, known):
+    # a known prime need not divide gcd(c4, c6), and a prime of it missing
+    # from the list is found by factoring what the known ones leave
+    c4, c6 = shared * x, shared * y
+    assert _candidate_primes(c4, c6, known) == _candidate_primes(c4, c6)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,17 @@
 
 import math
 import random
+from unittest import mock
 
 import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     CURVE_A,
     CURVE_B,
+    CURVE_C,
     OMEGA_A,
     OMEGA_MINUS_B,
     OMEGA_TWIST_A,
@@ -300,8 +303,8 @@ HARD_CURVES = [
 ]
 
 
-def _agreeing_bits(value, reference) -> float:
-    with mp.workprec(4096):
+def _agreeing_bits(value, reference, working_bits: int = 4096) -> float:
+    with mp.workprec(working_bits):
         gap = abs(value - reference)
         return math.inf if gap == 0 else float(-mp.log(gap / abs(reference), 2))
 
@@ -450,6 +453,116 @@ def test_a_root_one_unit_above_an_exact_root_certifies(monkeypatch):
     assert lattice._roots == ((1 << k) + 1, 0, -(1 << k) + 1)
     assert _agreeing_bits(lattice.omega_real, expected.omega_real) >= 128
     assert _agreeing_bits(lattice.omega_complex, expected.omega_complex) >= 128
+
+
+@pytest.mark.parametrize(
+    "m, smaller",
+    [
+        pytest.param(WeierstrassModel.from_ainvs([-7, 3]), None, id="delta>0"),
+        pytest.param(CURVE_A, "omega_real", id="delta<0-alpha<0"),
+        pytest.param(CURVE_C, "nu", id="delta<0-alpha>=0"),
+    ],
+)
+def test_both_periods_keep_4096_bits(m, smaller):
+    # When delta < 0, the smaller of 2beta +- alpha comes from a quotient:
+    # for omega_real when alpha < 0, for nu when alpha >= 0.
+    reference = lattice_periods(m, 8192)
+    lattice = lattice_periods(m, 4096)
+    with mock.patch.object(periods, "_quotient", wraps=periods._quotient) as quotient:
+        omega_real = lattice.omega_real
+        quotients_for_omega_real = quotient.call_count
+        nu = lattice.omega_minus.imag
+    expected = {None: (0, 0), "omega_real": (1, 1), "nu": (0, 1)}[smaller]
+    assert (quotients_for_omega_real, quotient.call_count) == expected
+    assert _agreeing_bits(omega_real, reference.omega_real, 8400) >= 4096
+    assert _agreeing_bits(nu, reference.omega_minus.imag, 8400) >= 4096
+
+
+CUBICS = st.tuples(*[st.integers(-(2**64), 2**64)] * 3)
+
+
+def newton_at_full_scale(cubic, x: int, k: int) -> int:
+    """The Newton step from x at scale 2^k, evaluated at that scale."""
+    b2, b4, _ = cubic
+    slope = (12 * x + (b2 << (k + 1))) * x + (b4 << (2 * k + 1))
+    return x - (2 * periods._value(cubic, x, k) + slope) // (2 * slope)
+
+
+@given(
+    cubic=CUBICS,
+    y=st.integers(-(2**300), 2**300),
+    s=st.integers(0, 400),
+    u=st.integers(0, 400),
+)
+@settings(max_examples=300, deadline=None)
+def test_newton_at_the_lower_scale_is_the_step_at_the_shifted_point(cubic, y, s, u):
+    b2, b4, _ = cubic
+    assume((12 * y + (b2 << (s + 1))) * y + (b4 << (2 * s + 1)) != 0)
+    assert periods._newton(cubic, y, s, s + u) == newton_at_full_scale(
+        cubic, y << u, s + u
+    )
+
+
+@given(
+    root=st.integers(-(2**64), 2**64),
+    p=st.integers(-(2**64), 2**64),
+    q=st.integers(-(2**64), 2**64),
+    k=st.integers(0, 400),
+    offset=st.integers(-3, 3) | st.integers(-(2**300), 2**300),
+)
+@settings(max_examples=300, deadline=None)
+def test_certificate_is_the_sign_test_on_two_evaluations(root, p, q, k, offset):
+    # g = 4(t - root)(t^2 + p t + q); at an offset of -1 or 1 from root * 2^k,
+    # the root lands exactly on x + 1 or x - 1, where g is 0
+    cubic = (4 * (p - root), 2 * (q - root * p), -4 * root * q)
+    x = (root << k) + offset
+    below = periods._value(cubic, x - 1, k)
+    above = periods._value(cubic, x + 1, k)
+    signs_differ = min(below, above) <= 0 <= max(below, above)
+    assert periods._certified(cubic, x, k) == signs_differ
+
+
+def with_bits(low: int, high: int):
+    """Integers of low to high bits, each length about equally likely."""
+    return st.integers(low, high).flatmap(
+        lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1)
+    )
+
+
+@given(d=with_bits(1, 9000), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_cut_divisor_quotient_is_within_one_unit_of_floor_division(d, data):
+    # n = q*d + r with q up to as long as d, as in the kernel, where a 4K-bit
+    # numerator meets a 3K-bit divisor and the cut drops about 2K bits of each
+    q = data.draw(with_bits(1, d.bit_length()))
+    n = q * d + data.draw(st.integers(0, d - 1))
+    assert abs(periods._quotient(n, d) - q) <= 1
+
+
+def agm_by_the_loop(a: int, b: int) -> int:
+    """The AGM iterated until its two means are within one unit."""
+    while abs(a - b) > 1:
+        a, b = (a + b) >> 1, math.isqrt(a * b)
+    return a
+
+
+@given(m=integral_models(bound=1000), bits=st.sampled_from([64, 128, 1024, 4096]))
+@settings(max_examples=40, deadline=None)
+def test_agm_series_ending_is_within_two_units_of_the_loop(m, bits):
+    # the AGM's inputs as the kernel makes them, from both periods of m
+    inputs = []
+    original = periods._agm
+
+    def recorded(a, b):
+        inputs.append((a, b))
+        return original(a, b)
+
+    with mock.patch.object(periods, "_agm", recorded):
+        lattice = lattice_periods(m, bits)
+        lattice.omega_real, lattice.omega_complex
+    assert len(inputs) == 2
+    for a, b in inputs:
+        assert abs(original(a, b) - agm_by_the_loop(a, b)) <= 2
 
 
 # ---------------------------------------------------------------------------

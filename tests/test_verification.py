@@ -9,6 +9,8 @@ import tracemalloc
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     CURVE_A,
@@ -110,7 +112,7 @@ def test_verify_passes_exactly_when_the_sides_agree_to_the_requested_bits(
     assert (report.abs_rel_error <= mp.ldexp(1, -bits)) is passed
 
 
-@pytest.mark.parametrize("bits", [64, 128, 512])
+@pytest.mark.parametrize("bits", [64, 128, 512, 4096])
 def test_verify_keeps_twelve_bits_beyond_the_requested_bits(bits):
     # The bound 2^-p that decides `passed` has about 14.5 bits to spare on
     # true relations; this fails first if some of that margin is lost.
@@ -120,6 +122,19 @@ def test_verify_keeps_twelve_bits_beyond_the_requested_bits(bits):
         d = random_square_free(rng, bound=10**6)
         report = verify_twist_period_relation(m, d, bits)
         assert report.abs_rel_error <= mp.ldexp(1, -(bits + 12)), (m.ainvs, d)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=10**40),
+    bits=st.integers(min_value=64, max_value=5000),
+)
+@settings(max_examples=300, deadline=None)
+def test_square_root_of_d_is_mpmaths_bit_for_bit(n, bits):
+    # the right-hand side takes sqrt|d| from math.isqrt, rounded as mpmath
+    # rounds it; perfect squares and their neighbours are exact or near ties
+    with mp.workprec(bits):
+        for m in (n, n * n, n * n + 1, n * n - 1 or 1):
+            assert verification._sqrt(m, bits)._mpf_ == mp.sqrt(m)._mpf_, (m, bits)
 
 
 def test_verification_report_payload():
